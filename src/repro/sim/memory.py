@@ -6,6 +6,13 @@ writes to *appendable memory region* (AMR) pages (section 2.3.2).  This
 module provides the equivalent functional model: a sparse, word-granular
 memory with per-page protection bits, used by every simulated process.
 
+Protections are filled on demand.  Mapping a region records one
+:class:`Mapping`; the first protection-checked access to a page looks
+its protection up in the mapping list and caches it per page, so
+building a process costs O(mappings), not O(pages), while a repeat
+access stays one dict probe.  ``Memory.prot_epoch`` is bumped only on
+map, unmap or protect, never on a cache fill.
+
 Addresses are byte addresses, but storage is word-granular (8-byte words,
 matching the paper's 8-byte operation arguments).  This is sufficient for
 every policy in the paper, all of which reason about pointer-sized values.
@@ -98,15 +105,23 @@ class Memory:
     reads/writes check page protections; the ``physical`` accessors
     bypass them and model DMA (FPGA writes to pinned host memory) or
     privileged kernel access.
+
+    Page protections are filled on demand from the mapping list: a
+    page's first protection-checked access caches its mapping's bits in
+    a per-page table, which :meth:`protect_region` writes through and
+    :meth:`unmap_region` evicts.  Unmapped pages are never cached.
     """
 
     def __init__(self) -> None:
         self._words: Dict[int, int] = {}
+        #: Per-page protection cache: holds only pages of live mappings,
+        #: filled by :meth:`_prot` and written by :meth:`protect_region`.
         self._page_prot: Dict[int, int] = {}
         self._mappings: List[Mapping] = []
-        #: Bumped on every protection change (map/unmap/mprotect) so
-        #: callers that pre-validated a page range — the AppendWrite
-        #: datapath — know when their validation went stale.
+        #: Bumped on every protection change (map/unmap/mprotect), never
+        #: on a cache fill, so callers that pre-validated a page range —
+        #: the AppendWrite datapath — know when their validation went
+        #: stale.
         self.prot_epoch = 0
 
     # -- mapping management -------------------------------------------------
@@ -130,8 +145,6 @@ class Memory:
                     f"mapping {name!r} at {start:#x} overlaps {existing.name!r}"
                 )
         self._mappings.append(new)
-        for page in range(page_of(start), page_of(start + size - 1) + 1):
-            self._page_prot[page] = prot
         self.prot_epoch += 1
         return new
 
@@ -150,11 +163,22 @@ class Memory:
         raise ValueError(f"no mapping starts at {start:#x}")
 
     def protect_region(self, start: int, size: int, prot: int) -> None:
-        """Change protections on pages covering ``[start, start + size)``."""
-        for page in range(page_of(start), page_of(start + size - 1) + 1):
-            if page not in self._page_prot:
+        """Change protections on pages covering ``[start, start + size)``.
+
+        All or nothing: if any page of the range is unmapped, no page
+        changes and :attr:`prot_epoch` stays put, so a pre-validated
+        AppendWrite span is never silently downgraded.
+        """
+        pages = range(page_of(start), page_of(start + size - 1) + 1)
+        page_prot = self._page_prot
+        for page in pages:
+            # _prot caches every mapped page it resolves, so a page still
+            # absent from the cache afterwards is unmapped.
+            self._prot(page)
+            if page not in page_prot:
                 raise SegmentationFault(page * PAGE_SIZE, "mprotect", "unmapped")
-            self._page_prot[page] = prot
+        for page in pages:
+            page_prot[page] = prot
         self.prot_epoch += 1
 
     def mapping_at(self, address: int) -> Optional[Mapping]:
@@ -167,9 +191,24 @@ class Memory:
     def mappings(self) -> Iterator[Mapping]:
         return iter(self._mappings)
 
+    def _prot(self, page: int) -> int:
+        """Protection bits of ``page``; the one place they are resolved.
+
+        A cached page is one dict probe.  Otherwise the page's mapping
+        supplies them and they are cached; an unmapped page reads as
+        ``PROT_NONE`` and is not cached.
+        """
+        prot = self._page_prot.get(page)
+        if prot is None:
+            mapping = self.mapping_at(page * PAGE_SIZE)
+            if mapping is None:
+                return PROT_NONE
+            prot = self._page_prot[page] = mapping.prot
+        return prot
+
     def prot_of(self, address: int) -> int:
         """Return protection bits of the page containing ``address``."""
-        return self._page_prot.get(page_of(address), PROT_NONE)
+        return self._prot(address // PAGE_SIZE)
 
     def span_is_amr(self, start: int, end: int) -> bool:
         """True iff every page of ``[start, end)`` is ``PROT_AMR``.
@@ -177,15 +216,15 @@ class Memory:
         Lets the AppendWrite datapath validate its whole region once per
         :attr:`prot_epoch` instead of re-checking pages on every store.
         """
-        page_prot = self._page_prot
-        return all(page_prot.get(page, PROT_NONE) & PROT_AMR
+        resolve = self._prot
+        return all(resolve(page) & PROT_AMR
                    for page in range(page_of(start), page_of(end - 1) + 1))
 
     # -- protected accessors (what program instructions use) ----------------
 
     def load(self, address: int) -> int:
         """Read the word at ``address`` subject to page protections."""
-        prot = self.prot_of(address)
+        prot = self._prot(address // PAGE_SIZE)
         if not prot & PROT_READ:
             raise SegmentationFault(address, "read", "page not readable")
         return self._words.get(align_word(address), 0)
@@ -196,7 +235,7 @@ class Memory:
         AMR pages reject ordinary stores — only :meth:`append_store`
         (the AppendWrite datapath) may write them.
         """
-        prot = self.prot_of(address)
+        prot = self._prot(address // PAGE_SIZE)
         if prot & PROT_AMR:
             raise AMRWriteFault(address)
         if not prot & PROT_WRITE:
@@ -210,14 +249,14 @@ class Memory:
         in the AMR" (section 3.1.2); any non-AMR target is rejected so a
         misconfigured AppendAddr cannot scribble on ordinary memory.
         """
-        prot = self.prot_of(address)
+        prot = self._prot(address // PAGE_SIZE)
         if not prot & PROT_AMR:
             raise SegmentationFault(address, "append", "target is not an AMR page")
         self._words[align_word(address)] = value
 
     def fetch(self, address: int) -> int:
         """Instruction fetch: requires an executable page."""
-        prot = self.prot_of(address)
+        prot = self._prot(address // PAGE_SIZE)
         if not prot & PROT_EXEC:
             raise SegmentationFault(address, "exec", "page not executable")
         return self._words.get(align_word(address), 0)
@@ -263,7 +302,7 @@ class Memory:
         address = align_word(address)
         end = address + len(values) * WORD_SIZE
         for page in range(page_of(address), page_of(end - 1) + 1):
-            prot = self._page_prot.get(page, PROT_NONE)
+            prot = self._prot(page)
             if prot & PROT_AMR:
                 raise AMRWriteFault(page * PAGE_SIZE)
             if not prot & PROT_WRITE:
@@ -285,9 +324,9 @@ class Memory:
             return
         address = align_word(address)
         end = address + len(values) * WORD_SIZE
-        page_prot = self._page_prot
+        resolve = self._prot
         for page in range(page_of(address), page_of(end - 1) + 1):
-            if not page_prot.get(page, PROT_NONE) & PROT_AMR:
+            if not resolve(page) & PROT_AMR:
                 raise SegmentationFault(page * PAGE_SIZE, "append",
                                         "target is not an AMR page")
         words = self._words

@@ -153,13 +153,26 @@ class TestBulkMemoryOps:
             mem.append_store_words(0x3000, [1, 2])
 
     def test_prot_epoch_bumps_on_protection_changes(self):
+        # The accesses between the steps fill the page-protection cache
+        # on demand; a fill is not a protection change and must not
+        # bump the epoch.
         mem = Memory()
         before = mem.prot_epoch
         mem.map_region(0x4000, PAGE_SIZE, PROT_READ | PROT_WRITE, "rw")
         assert mem.prot_epoch == before + 1
+        mem.store(0x4000, 7)
+        assert mem.load(0x4000) == 7
+        assert mem.prot_epoch == before + 1
         mem.protect_region(0x4000, PAGE_SIZE, PROT_READ)
         assert mem.prot_epoch == before + 2
+        assert mem.load(0x4008) == 0
+        with pytest.raises(SegmentationFault):
+            mem.store(0x4000, 1)
+        assert mem.prot_epoch == before + 2
         mem.unmap_region(0x4000)
+        assert mem.prot_epoch == before + 3
+        with pytest.raises(SegmentationFault):
+            mem.load(0x4000)
         assert mem.prot_epoch == before + 3
 
 
@@ -193,6 +206,21 @@ class TestUArchFastPath:
         channel.send_raw(process, int(Op.EVENT), 4, 0, 0)
         messages = decode_batch(channel.receive_words())
         assert [m.arg0 for m in messages] == [4]
+
+    def test_failed_reprotect_leaves_amr_intact(self, process):
+        # A range that runs past the one-page AMR fails before changing
+        # any page and leaves prot_epoch alone, so the fast path keeps
+        # appending to a page that is still AMR, never to a page that
+        # silently became read-only.
+        channel = create_channel("uarch", capacity=8)
+        channel.send_raw(process, int(Op.EVENT), 1, 0, 0)
+        with pytest.raises(SegmentationFault, match="mprotect"):
+            channel.memory.protect_region(channel.base, 2 * PAGE_SIZE,
+                                          PROT_READ)
+        assert channel.memory.prot_of(channel.base) == PROT_READ | PROT_AMR
+        channel.send_raw(process, int(Op.EVENT), 2, 0, 0)
+        messages = decode_batch(channel.receive_words())
+        assert [m.arg0 for m in messages] == [1, 2]
 
 
 class TestUndecodableStreams:

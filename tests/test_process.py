@@ -1,9 +1,11 @@
 """Tests for processes, heaps, and stacks (repro.sim.process)."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.memory import PROT_READ, PROT_WRITE, SegmentationFault
+from repro.sim.memory import Memory, PROT_READ, PROT_WRITE, SegmentationFault
 from repro.sim.process import (
     HEAP_BASE,
     Heap,
@@ -147,6 +149,34 @@ class TestProcess:
         base = process.push_frame(16)
         process.memory.store(base, 77)
         assert process.memory.load(base) == 77
+
+
+def _allocated_by(build):
+    """Bytes allocated by ``build()`` that are still live afterwards."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestFootprint:
+    """Mapping records a region; it writes no per-page table."""
+
+    def test_process_construction_allocates_per_mapping(self):
+        Process()  # first construction may set up lazy module state
+        processes = []
+        allocated = _allocated_by(
+            lambda: processes.extend(Process() for _ in range(100)))
+        assert allocated / 100 < 16 * 1024
+
+    def test_mapping_a_gibibyte_allocates_no_page_table(self):
+        memory = Memory()
+        allocated = _allocated_by(lambda: memory.map_region(
+            HEAP_BASE, 1 << 30, PROT_READ | PROT_WRITE, "huge"))
+        assert allocated < 64 * 1024
 
 
 @settings(max_examples=50)
