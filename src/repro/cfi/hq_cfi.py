@@ -10,122 +10,68 @@ free), is a violation.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
-from repro.core.messages import Message, Op
-from repro.core.policy import Handler, Policy, Violation
+from repro.core.messages import Op
+from repro.core.policy import Policy, Violation
 from repro.cfi.pointer_table import PointerTable
-
-_UAF_ERROR = "use of undefined or invalidated pointer (use-after-free?)"
 
 
 class HQCFIPolicy(Policy):
-    """Pointer-integrity policy context for one monitored process."""
+    """Pointer-integrity policy context for one monitored process.
+
+    Define and check dominate instrumented traffic (one define per
+    pointer store, one check per indirect transfer), so those handlers
+    skip the :class:`PointerTable` method-call layer and probe its
+    entry dict directly.
+    """
 
     name = "hq-cfi"
 
     def __init__(self) -> None:
         self.table = PointerTable()
-        self.checks = 0
-        self.defines = 0
         self.use_after_free_hits = 0
-        self._handlers: Optional[Dict[int, Handler]] = None
 
-    def handle(self, message: Message) -> Optional[Violation]:
-        op = message.op
-        if op is Op.POINTER_DEFINE:
-            self.defines += 1
-            self.table.define(message.arg0, message.arg1)
-            return None
-        if op is Op.POINTER_CHECK:
-            self.checks += 1
-            error = self.table.check(message.arg0, message.arg1)
-            return self._violation(message, error)
-        if op is Op.POINTER_CHECK_INVALIDATE:
-            self.checks += 1
-            error = self.table.check_invalidate(message.arg0, message.arg1)
-            return self._violation(message, error)
-        if op is Op.POINTER_INVALIDATE:
-            self.table.invalidate(message.arg0)
-            return None
-        if op is Op.POINTER_BLOCK_COPY:
-            self.table.block_copy(message.arg0, message.arg1, message.aux)
-            return None
-        if op is Op.POINTER_BLOCK_MOVE:
-            self.table.block_move(message.arg0, message.arg1, message.aux)
-            return None
-        if op is Op.POINTER_BLOCK_INVALIDATE:
-            self.table.block_invalidate(message.arg0, message.aux)
-            return None
-        return None
+    def _define(self, arg0: int, arg1: int, aux: int) -> None:
+        self.table._entries[arg0] = arg1
 
-    def _violation(self, message: Message, error: Optional[str]) -> Optional[Violation]:
-        if error is None:
+    def _check(self, arg0: int, arg1: int, aux: int) -> Optional[Violation]:
+        recorded = self.table._entries.get(arg0)
+        if recorded == arg1:
             return None
-        if "use-after-free" in error:
+        if recorded is None:
             self.use_after_free_hits += 1
-        return Violation(message.pid, "cfi-pointer-integrity", error, message)
+        return Violation(0, "cfi-pointer-integrity",
+                         self.table.check(arg0, arg1))
 
-    def handlers(self) -> Dict[int, Handler]:
-        """Per-op dispatch table with inlined define/check fast paths.
+    def _check_invalidate(self, arg0: int, arg1: int,
+                          aux: int) -> Optional[Violation]:
+        violation = self._check(arg0, arg1, aux)
+        if violation is None:
+            del self.table._entries[arg0]
+        return violation
 
-        Define and check dominate instrumented traffic (one define per
-        pointer store, one check per indirect transfer), so those two
-        skip the :class:`PointerTable` method-call layer and probe its
-        entry dict directly.  Built lazily per instance: the closures
-        bind this context's live table, so clone children build their
-        own.
-        """
-        if self._handlers is not None:
-            return self._handlers
-        table = self.table
-        entries = table._entries
+    def _invalidate(self, arg0: int, arg1: int, aux: int) -> None:
+        self.table._entries.pop(arg0, None)
 
-        def define(arg0: int, arg1: int, aux: int) -> None:
-            self.defines += 1
-            entries[arg0] = arg1
+    def _block_copy(self, arg0: int, arg1: int, aux: int) -> None:
+        self.table.block_copy(arg0, arg1, aux)
 
-        def check(arg0: int, arg1: int, aux: int) -> Optional[Violation]:
-            self.checks += 1
-            recorded = entries.get(arg0)
-            if recorded == arg1 and recorded is not None:
-                return None
-            if recorded is None:
-                self.use_after_free_hits += 1
-                return Violation(0, "cfi-pointer-integrity", _UAF_ERROR)
-            return Violation(0, "cfi-pointer-integrity",
-                             f"pointer value mismatch: recorded "
-                             f"{recorded:#x}, loaded {arg1:#x}")
+    def _block_move(self, arg0: int, arg1: int, aux: int) -> None:
+        self.table.block_move(arg0, arg1, aux)
 
-        def check_invalidate(arg0: int, arg1: int,
-                             aux: int) -> Optional[Violation]:
-            violation = check(arg0, arg1, aux)
-            if violation is None:
-                del entries[arg0]
-            return violation
+    def _block_invalidate(self, arg0: int, arg1: int, aux: int) -> None:
+        self.table.block_invalidate(arg0, aux)
 
-        def invalidate(arg0: int, arg1: int, aux: int) -> None:
-            entries.pop(arg0, None)
-
-        def block_copy(arg0: int, arg1: int, aux: int) -> None:
-            table.block_copy(arg0, arg1, aux)
-
-        def block_move(arg0: int, arg1: int, aux: int) -> None:
-            table.block_move(arg0, arg1, aux)
-
-        def block_invalidate(arg0: int, arg1: int, aux: int) -> None:
-            table.block_invalidate(arg0, aux)
-
-        self._handlers = {
-            int(Op.POINTER_DEFINE): define,
-            int(Op.POINTER_CHECK): check,
-            int(Op.POINTER_CHECK_INVALIDATE): check_invalidate,
-            int(Op.POINTER_INVALIDATE): invalidate,
-            int(Op.POINTER_BLOCK_COPY): block_copy,
-            int(Op.POINTER_BLOCK_MOVE): block_move,
-            int(Op.POINTER_BLOCK_INVALIDATE): block_invalidate,
-        }
-        return self._handlers
+    HANDLERS = {
+        int(Op.POINTER_DEFINE): _define,
+        int(Op.POINTER_CHECK): _check,
+        int(Op.POINTER_CHECK_INVALIDATE): _check_invalidate,
+        int(Op.POINTER_INVALIDATE): _invalidate,
+        int(Op.POINTER_BLOCK_COPY): _block_copy,
+        int(Op.POINTER_BLOCK_MOVE): _block_move,
+        int(Op.POINTER_BLOCK_INVALIDATE): _block_invalidate,
+    }
 
     def clone(self) -> "HQCFIPolicy":
         child = HQCFIPolicy()

@@ -27,39 +27,46 @@ class Violation:
         return f"[pid {self.pid}] {self.kind}: {self.detail}"
 
 
-#: One entry in a policy's per-op dispatch table: called with the
-#: message's ``(arg0, arg1, aux)`` payload, returns a violation or None.
-Handler = Callable[[int, int, int], Optional[Violation]]
+#: One entry in a policy's per-op dispatch table: a plain function
+#: called as ``handler(policy, arg0, arg1, aux)`` with the policy context
+#: and the message payload, returning a violation or None.
+Handler = Callable[["Policy", int, int, int], Optional[Violation]]
 
 
 class Policy:
-    """Base class for verifier-side execution policies."""
+    """Base class for verifier-side execution policies.
+
+    A policy's semantics live once, in the class-level :attr:`HANDLERS`
+    table, which the verifier's word dispatcher and :meth:`handle` both
+    read.  Subclasses fill the table and do not override :meth:`handle`.
+    """
 
     name = "null"
 
+    #: ``int(op)`` -> :data:`Handler`.  The table must cover **every** op
+    #: the policy reacts to: an absent op is a no-op for the policy
+    #: (though the verifier still counts it in :class:`PolicyStats`).
+    #: Handlers return violations with ``pid`` 0 and no ``message``; the
+    #: caller stamps the sender pid and attaches the message.  The table
+    #: belongs to the class, never to an instance: per-instance closures
+    #: over ``self`` cached on ``self`` make every context a reference
+    #: cycle that outlives its pid until a cyclic GC pass.
+    HANDLERS: Dict[int, Handler] = {}
+
     def handle(self, message: Message) -> Optional[Violation]:
-        """Process one message; return a violation if the check failed."""
-        return None
+        """Process one message; return a violation if the check failed.
 
-    def handlers(self) -> Optional[Dict[int, Handler]]:
-        """Per-op dispatch table for the verifier's batched word path.
-
-        Contract: the returned dict maps ``int(op)`` to a callable
-        taking the message payload ``(arg0, arg1, aux)`` and returning
-        an optional :class:`Violation`.  The table must cover **every**
-        op the policy reacts to — an op absent from the table is a
-        no-op for the policy (though the verifier still counts it in
-        ``PolicyStats``).  Returned violations may leave ``pid`` as 0
-        and ``message`` as None; the dispatcher stamps the sender pid
-        and lazily materializes the message.  Handlers are bound
-        closures over live policy state, so the table must be built
-        per-instance (never shared across :meth:`clone` children).
-
-        Returning None (the default) keeps the policy on the legacy
-        adapter: the verifier materializes a
-        :class:`~repro.core.messages.Message` and calls :meth:`handle`.
+        The per-message form of the verifier's dispatch, for trace
+        replay and tests: one :attr:`HANDLERS` lookup and call.
         """
-        return None
+        handler = self.HANDLERS.get(message.op)
+        if handler is None:
+            return None
+        violation = handler(self, message.arg0, message.arg1, message.aux)
+        if violation is not None:
+            violation.pid = message.pid
+            violation.message = message
+        return violation
 
     def clone(self) -> "Policy":
         """Deep-copy the policy context for a forked child (section 3.4)."""
@@ -90,13 +97,3 @@ class PolicyStats:
     violations: int = 0
     max_entries: int = 0
     by_op: dict = field(default_factory=dict)
-
-    def record(self, message: Message, entry_count: int,
-               violated: bool) -> None:
-        self.messages_processed += 1
-        op_name = message.op.name
-        self.by_op[op_name] = self.by_op.get(op_name, 0) + 1
-        if violated:
-            self.violations += 1
-        if entry_count > self.max_entries:
-            self.max_entries = entry_count

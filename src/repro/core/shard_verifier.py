@@ -79,10 +79,13 @@ def resolve_policy(name: str) -> Callable[[], Policy]:
 class ShardEngine:
     """One shard: a ring plus the verifier that drains it (inline mode).
 
-    ``overflow`` buffers word batches that arrive while the ring is
-    full — the coordinator's equivalent of :class:`Verifier`'s message
-    backlog.  Overflow is refilled into the ring *after* the ring's own
-    content so per-pid order is preserved.
+    The ring and ``overflow`` together are this shard's backlog, the
+    counterpart of :class:`Verifier`'s queue of received word batches:
+    ``overflow`` buffers words that arrive while the ring is full and
+    is refilled into the ring *after* the ring's own content, so
+    per-pid order is preserved.  :meth:`drain` dispatches through the
+    verifier's word path with the same message budget a bounded
+    :meth:`Verifier.poll` takes.
     """
 
     def __init__(self, shard_id: int, verifier: Verifier,

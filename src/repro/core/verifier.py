@@ -15,11 +15,12 @@ by the framework to model background draining.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from typing import Callable, Deque, Dict, Iterable, List, Optional
 
-from repro.core.messages import (MESSAGE_WORDS, Message, MessageDecodeError,
-                                 Op, OP_BY_VALUE, OP_NAMES, decode_batch)
+from repro.core.messages import (MESSAGE_WORDS, Message, Op, OP_BY_VALUE,
+                                 OP_NAMES)
 from repro.core.policy import Policy, PolicyStats, Violation
 from repro.ipc.base import Channel, ChannelIntegrityError
 
@@ -31,10 +32,9 @@ class Verifier:
     """Policy-enforcement verifier.
 
     ``policy_factory`` creates a fresh policy context when a process
-    registers.  ``kill_callback`` (optional) is invoked with the pid on
-    violation — the default configuration kills monitored programs on
+    registers.  The default configuration kills monitored programs on
     violation or unexpected verifier termination (section 3.4); the
-    actual kill is carried out by the kernel module, which polls
+    kill is carried out by the kernel module, which polls
     :meth:`has_violation`.
     """
 
@@ -43,10 +43,8 @@ class Verifier:
     #: wrappers (which delegate ``poll``) are observed transparently.
     observer = None
 
-    def __init__(self, policy_factory: Callable[[], Policy],
-                 kill_callback: Optional[Callable[[int], None]] = None) -> None:
+    def __init__(self, policy_factory: Callable[[], Policy]) -> None:
         self._policy_factory = policy_factory
-        self._kill_callback = kill_callback
         self.channels: List[Channel] = []
         self.contexts: Dict[int, Policy] = {}
         self.stats: Dict[int, PolicyStats] = {}
@@ -55,10 +53,12 @@ class Verifier:
         self._syscall_tokens: Dict[int, int] = {}
         self.integrity_failures: List[str] = []
         self.terminated = False
-        #: Messages drained from channels but not yet dispatched — only
-        #: populated when :meth:`poll` runs with a processing limit
-        #: (modelling a slow verifier under backpressure).
-        self._backlog: Deque[Message] = deque()
+        #: Word batches received from channels but not yet fully
+        #: dispatched, oldest first; ``_offset`` is the read position in
+        #: the first.  Only a :meth:`poll` with a processing limit
+        #: (a slow verifier under backpressure) leaves anything here.
+        self._backlog: Deque[array] = deque()
+        self._offset = 0
         #: Times :meth:`restart` recovered this verifier after a crash.
         self.restarts = 0
         #: Epoch-based GC of per-pid reporting state.  ``None`` (the
@@ -198,63 +198,62 @@ class Verifier:
         ``max_messages`` bounds the processing work of this time slice
         (a slow or overloaded verifier): channels are still drained —
         receive is cheap, policy evaluation is the bottleneck — but
-        undispatched messages queue in an internal backlog, in order,
-        and are processed by later polls.  Syscall tokens therefore
-        arrive late under backpressure, which is exactly what the
-        kernel's bounded epoch absorbs (section 2.2).
+        undispatched words stay in the backlog, in order, and are
+        processed by later polls.  Syscall tokens therefore arrive late
+        under backpressure, which is exactly what the kernel's bounded
+        epoch absorbs (section 2.2).  Bounded and unbounded polls take
+        the same path: the backlog is worked down first, then each
+        channel's batch joins it and is dispatched with the budget left.
         """
         if self.terminated:
             return 0
         obs = self.observer
         poll_start = obs.now() if obs is not None else 0.0
-        processed = 0
-
-        def budget_left() -> bool:
-            return max_messages is None or processed < max_messages
-
-        # Work down the backlog from earlier limited polls first so
-        # per-pid message order is preserved.
-        while self._backlog and budget_left():
-            self._dispatch(self._backlog.popleft())
-            processed += 1
+        processed = self._drain(max_messages)
         for channel in self.channels:
             try:
                 words = channel.receive_words()
             except ChannelIntegrityError as error:
                 self._integrity_violation(str(error))
                 continue
-            if obs is not None and words:
+            if not words:
+                continue
+            if obs is not None:
                 # The receive boundary sees every transport — wrapped
                 # or not — so IPC batch metrics are emitted here.
                 obs.ipc_batch(len(words) // MESSAGE_WORDS)
-            if max_messages is None:
-                # Unbounded poll (the common case): the backlog is
-                # already empty, so the batch dispatches straight off
-                # the word stream with no Message materialization.
-                processed += self._dispatch_words(words)
-                continue
-            # Bounded poll (a slow verifier under backpressure):
-            # materialize so the overflow can queue in the backlog.
-            try:
-                messages = decode_batch(words)
-            except MessageDecodeError as error:
-                self._integrity_violation(
-                    f"undecodable message stream: {error}")
-                continue
-            for message in messages:
-                if budget_left():
-                    self._dispatch(message)
-                    processed += 1
-                else:
-                    self._backlog.append(message)
+            self._backlog.append(words)
+            processed += self._drain(None if max_messages is None
+                                     else max_messages - processed)
         if obs is not None:
             obs.verifier_poll_event(processed, poll_start)
-            obs.note_backlog(len(self._backlog))
+            obs.note_backlog(self.backlog_size())
+        return processed
+
+    def _drain(self, budget: Optional[int]) -> int:
+        """Dispatch up to ``budget`` backlog messages (None: all), in
+        order; returns how many were dispatched."""
+        backlog = self._backlog
+        processed = 0
+        while backlog and (budget is None or processed < budget):
+            words = backlog[0]
+            start = self._offset
+            stop = len(words) if budget is None else \
+                min(len(words), start + (budget - processed) * MESSAGE_WORDS)
+            done = self._dispatch_words(words, start, stop)
+            processed += done
+            start += done * MESSAGE_WORDS
+            if start < stop or start == len(words):
+                # Abandoned as corrupt, or fully dispatched.
+                backlog.popleft()
+                start = 0
+            self._offset = start
         return processed
 
     def backlog_size(self) -> int:
-        """Messages drained but not yet dispatched (backpressure)."""
-        return len(self._backlog)
+        """Messages received but not yet dispatched (backpressure)."""
+        return (sum(map(len, self._backlog)) - self._offset) \
+            // MESSAGE_WORDS
 
     def _integrity_violation(self, detail: str) -> None:
         """Transport integrity failure: violation for every live pid."""
@@ -265,27 +264,32 @@ class Verifier:
             self._record_violation(Violation(pid, "message-integrity",
                                              detail))
 
-    def _dispatch_words(self, words) -> int:
-        """Dispatch one packed word batch without materializing messages.
+    def _dispatch_words(self, words: array, start: int = 0,
+                        stop: Optional[int] = None) -> int:
+        """Dispatch the messages in ``words[start:stop]``, one
+        message-aligned window of a packed word batch; returns how many
+        were dispatched.
 
         Consecutive same-pid runs share the per-pid lookups (context,
-        dispatch table, stats) — channel streams are single-writer, so
-        one resolution usually covers the whole batch.  Per message the
-        hot path is: opcode probe, handler call with the raw payload,
-        inline stats update.  ``Message`` objects exist only when a
-        policy has no dispatch table (legacy adapter) or a violation
-        needs its evidence attached.
+        handler table, stats) — channel streams are single-writer, so
+        one resolution usually covers the whole window.  Per message
+        the hot path is: opcode probe, a call of the policy class's
+        handler with the raw payload, inline stats update.  ``Message``
+        objects exist only when a violation needs its evidence attached.
 
-        An opcode the wire codec does not know is message-integrity
-        evidence: the batch is abandoned and every live pid is marked
-        violated (fail closed), exactly as if the transport had
-        reported the corruption itself.
+        A batch whose length is not a whole number of messages, or a
+        message whose opcode the wire codec does not know, is
+        message-integrity evidence: every live pid is marked violated
+        (fail closed), exactly as if the transport had reported the
+        corruption itself, and the batch is abandoned — the messages
+        before the bad opcode are dispatched, none after it.  The
+        caller can tell: the dispatched messages then end short of
+        ``stop``.
 
         The per-message stats (processed count, entry high-water mark)
         accumulate in run-local variables and flush into
-        :class:`PolicyStats` at run boundaries and before anything that
-        can observe the stats (a violation record, an integrity abort,
-        returning) — final stats are identical to per-message updates.
+        :class:`PolicyStats` at run boundaries and on return — final
+        stats are identical to per-message updates.
         """
         n = len(words)
         if n & 3:
@@ -300,7 +304,7 @@ class Verifier:
         contexts = self.contexts
         stats = self.stats
         obs = self.observer
-        runs = 0          # distinct same-pid runs in this batch
+        runs = 0          # distinct same-pid runs in this window
         current_pid = -1
         context: Optional[Policy] = None
         handlers = None
@@ -312,8 +316,10 @@ class Verifier:
         processed = 0     # only maintained for the abort path
         # One C-level iterator per word column: no index arithmetic or
         # bounds checks in the loop body.
-        for w0, arg0, arg1, w3 in zip(words[0::4], words[1::4],
-                                      words[2::4], words[3::4]):
+        for w0, arg0, arg1, w3 in zip(words[start:stop:4],
+                                      words[start + 1:stop:4],
+                                      words[start + 2:stop:4],
+                                      words[start + 3:stop:4]):
             pid = w0 >> 32
             if pid != current_pid:
                 if run_mp:
@@ -325,7 +331,7 @@ class Verifier:
                 runs += 1
                 current_pid = pid
                 context = contexts.get(pid)
-                handlers = context.handlers() if context is not None else None
+                handlers = context.HANDLERS if context is not None else None
                 st = stats.get(pid)
                 by_op = st.by_op if st is not None else None
                 sized = (context.entries_ref()
@@ -368,31 +374,21 @@ class Verifier:
                 continue
             aux = w3 & _MASK32
             malformed = False
-            if handlers is not None:
-                handler = handlers.get(op)
-                if handler is not None:
-                    try:
-                        violation = handler(arg0, arg1, aux)
-                    except Exception as error:
-                        violation = Violation(
-                            pid, "malformed-message",
-                            f"policy {getattr(context, 'name', '?')} "
-                            f"raised {error!r} while handling "
-                            f"{op_by_value[op]!r} (fail closed)")
-                        malformed = True
-                else:
-                    violation = None
+            handler = handlers.get(op)
+            if handler is None:
+                violation = None
             else:
-                message = Message(op_by_value[op], arg0, arg1, aux, pid,
-                                  w3 >> 32)
                 try:
-                    violation = context.handle(message)
+                    violation = handler(context, arg0, arg1, aux)
                 except Exception as error:
+                    # A message the policy cannot even parse (corrupted
+                    # in transit, or crafted) must not crash the
+                    # verifier: a violation of the sender, fail closed.
                     violation = Violation(
                         pid, "malformed-message",
-                        f"policy {getattr(context, 'name', '?')} raised "
-                        f"{error!r} while handling {message.op!r} "
-                        f"(fail closed)")
+                        f"policy {getattr(context, 'name', '?')} "
+                        f"raised {error!r} while handling "
+                        f"{op_by_value[op]!r} (fail closed)")
                     malformed = True
             run_mp += 1
             try:
@@ -405,18 +401,10 @@ class Verifier:
                 run_max = entries
             if violation is not None:
                 st.violations += 1
-                # Flush before recording: kill hooks and restart logic
-                # may read the stats for this pid.
-                st.messages_processed += run_mp
-                if run_max > st.max_entries:
-                    st.max_entries = run_max
-                run_mp = 0
-                run_max = -1
                 if not malformed:
                     violation.pid = pid
-                    if violation.message is None:
-                        violation.message = Message(op_by_value[op], arg0,
-                                                    arg1, aux, pid, w3 >> 32)
+                    violation.message = Message(op_by_value[op], arg0,
+                                                arg1, aux, pid, w3 >> 32)
                 self._record_violation(violation)
             processed += 1
         if run_mp:
@@ -427,46 +415,11 @@ class Verifier:
             obs.verifier_dispatch_runs.value += runs
         return processed
 
-    def _dispatch(self, message: Message) -> None:
-        pid = message.pid
-        if message.op is Op.SYSCALL:
-            # All outstanding messages from this pid have been processed
-            # (channel ordering): hand the kernel a resume token.
-            self._syscall_tokens[pid] = self._syscall_tokens.get(pid, 0) + 1
-            if pid in self.stats:
-                self.stats[pid].record(message, self._entries(pid), False)
-            return
-        context = self.contexts.get(pid)
-        if context is None:
-            # Message from an unregistered pid: ignore (cannot happen
-            # with kernel-arbitrated channels; kept for robustness).
-            return
-        try:
-            violation = context.handle(message)
-        except Exception as error:
-            # A message the policy cannot even parse (corrupted in
-            # transit, or crafted) must not crash the verifier: treat it
-            # as a violation of the sending process — fail closed.
-            violation = Violation(
-                pid, "malformed-message",
-                f"policy {getattr(context, 'name', '?')} raised "
-                f"{error!r} while handling {message.op!r} (fail closed)")
-        self.stats[pid].record(message, self._entries(pid),
-                               violation is not None)
-        if violation is not None:
-            self._record_violation(violation)
-
-    def _entries(self, pid: int) -> int:
-        context = self.contexts.get(pid)
-        return context.entry_count() if context is not None else 0
-
     def _record_violation(self, violation: Violation) -> None:
         if self.observer is not None:
             self.observer.violation(violation.pid, violation.kind)
         self.violations.setdefault(violation.pid, []).append(violation)
         self._pending_violation[violation.pid] = True
-        if self._kill_callback is not None:
-            self._kill_callback(violation.pid)
 
     # -- kernel-module interface ------------------------------------------------------
 
@@ -541,9 +494,12 @@ class Verifier:
         for channel in self.channels:
             for message in channel.resync():
                 lost.add(message.pid)
-        for message in self._backlog:
-            lost.add(message.pid)
+        start = self._offset
+        for words in self._backlog:
+            lost.update(w0 >> 32 for w0 in words[start::MESSAGE_WORDS])
+            start = 0
         self._backlog.clear()
+        self._offset = 0
         self.terminated = False
         self.restarts += 1
         self.contexts.clear()

@@ -20,7 +20,7 @@ from typing import Optional
 
 from repro.compiler import ir
 from repro.compiler.passes.base import ModulePass
-from repro.core.messages import Message, Op
+from repro.core.messages import Op
 from repro.core.policy import Policy, Violation
 
 #: Event kinds carried in ``EVENT`` messages.
@@ -51,31 +51,18 @@ class CallCounterPolicy(Policy):
     def __init__(self, limit: Optional[int] = None) -> None:
         self.count = 0
         self.limit = limit
-        self._handlers = None
 
-    def handle(self, message: Message) -> Optional[Violation]:
-        if message.op is not Op.EVENT or message.arg0 != EVENT_CALL:
+    def _event(self, arg0: int, arg1: int, aux: int) -> Optional[Violation]:
+        if arg0 != EVENT_CALL:
             return None
-        self.count += message.arg1
+        self.count += arg1
         if self.limit is not None and self.count > self.limit:
-            return Violation(message.pid, "call-counter",
+            return Violation(0, "call-counter",
                              f"call count {self.count} exceeds limit "
-                             f"{self.limit}", message)
+                             f"{self.limit}")
         return None
 
-    def handlers(self) -> dict:
-        if self._handlers is None:
-            def event(arg0: int, arg1: int, aux: int) -> Optional[Violation]:
-                if arg0 != EVENT_CALL:
-                    return None
-                self.count += arg1
-                if self.limit is not None and self.count > self.limit:
-                    return Violation(0, "call-counter",
-                                     f"call count {self.count} exceeds "
-                                     f"limit {self.limit}")
-                return None
-            self._handlers = {int(Op.EVENT): event}
-        return self._handlers
+    HANDLERS = {int(Op.EVENT): _event}
 
     def clone(self) -> "CallCounterPolicy":
         child = CallCounterPolicy(self.limit)

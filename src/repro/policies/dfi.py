@@ -31,7 +31,7 @@ from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.compiler import ir
 from repro.compiler.passes.base import ModulePass
-from repro.core.messages import Message, Op
+from repro.core.messages import Op
 from repro.core.policy import Policy, Violation
 
 #: EVENT kinds.
@@ -57,62 +57,26 @@ class DFIPolicy(Policy):
                  ) -> None:
         self.reaching_sets = dict(reaching_sets or {})
         self.last_writer: Dict[int, int] = {}
-        self.checks = 0
-        self._handlers = None
 
-    def handle(self, message: Message) -> Optional[Violation]:
-        if message.op is not Op.EVENT:
-            return None
-        kind = message.arg0
-        if kind == DFI_STORE:
-            self.last_writer[message.arg1] = message.aux
-            return None
-        if kind == DFI_BLOCK_STORE:
-            address, size, def_id = message.arg1, message.aux >> 16, \
-                message.aux & 0xFFFF
+    def _event(self, arg0: int, arg1: int, aux: int) -> Optional[Violation]:
+        if arg0 == DFI_STORE:
+            self.last_writer[arg1] = aux
+        elif arg0 == DFI_BLOCK_STORE:
+            last_writer = self.last_writer
+            size, def_id = aux >> 16, aux & 0xFFFF
             for offset in range(0, size, 8):
-                self.last_writer[address + offset] = def_id
-            return None
-        if kind == DFI_CHECK:
-            self.checks += 1
-            address, set_id = message.arg1, message.aux
-            writer = self.last_writer.get(address, DEF_INITIAL)
-            allowed = self.reaching_sets.get(set_id, frozenset())
+                last_writer[arg1 + offset] = def_id
+        elif arg0 == DFI_CHECK:
+            writer = self.last_writer.get(arg1, DEF_INITIAL)
+            allowed = self.reaching_sets.get(aux, frozenset())
             if writer not in allowed:
                 return Violation(
-                    message.pid, "dfi",
-                    f"load at {address:#x} saw definition {writer}, "
-                    f"allowed set {set_id} is {sorted(allowed)}", message)
+                    0, "dfi",
+                    f"load at {arg1:#x} saw definition {writer}, "
+                    f"allowed set {aux} is {sorted(allowed)}")
         return None
 
-    def handlers(self) -> dict:
-        if self._handlers is not None:
-            return self._handlers
-        last_writer = self.last_writer
-        reaching_sets = self.reaching_sets
-
-        def event(arg0: int, arg1: int, aux: int) -> Optional[Violation]:
-            if arg0 == DFI_STORE:
-                last_writer[arg1] = aux
-                return None
-            if arg0 == DFI_BLOCK_STORE:
-                size, def_id = aux >> 16, aux & 0xFFFF
-                for offset in range(0, size, 8):
-                    last_writer[arg1 + offset] = def_id
-                return None
-            if arg0 == DFI_CHECK:
-                self.checks += 1
-                writer = last_writer.get(arg1, DEF_INITIAL)
-                allowed = reaching_sets.get(aux, frozenset())
-                if writer not in allowed:
-                    return Violation(
-                        0, "dfi",
-                        f"load at {arg1:#x} saw definition {writer}, "
-                        f"allowed set {aux} is {sorted(allowed)}")
-            return None
-
-        self._handlers = {int(Op.EVENT): event}
-        return self._handlers
+    HANDLERS = {int(Op.EVENT): _event}
 
     def clone(self) -> "DFIPolicy":
         child = DFIPolicy(self.reaching_sets)

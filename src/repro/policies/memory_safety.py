@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.core.messages import Message, Op
+from repro.core.messages import Op
 from repro.core.policy import Policy, Violation
 
 
@@ -87,6 +87,10 @@ class AllocationMap:
         return clone
 
 
+def _violation(error: Optional[str]) -> Optional[Violation]:
+    return None if error is None else Violation(0, "memory-safety", error)
+
+
 class MemorySafetyPolicy(Policy):
     """Verifier-side interpretation of the ``ALLOCATION_*`` messages."""
 
@@ -94,84 +98,43 @@ class MemorySafetyPolicy(Policy):
 
     def __init__(self) -> None:
         self.allocations = AllocationMap()
-        self.checks = 0
-        self._handlers = None
 
-    def handle(self, message: Message) -> Optional[Violation]:
-        op = message.op
-        error: Optional[str] = None
-        if op is Op.ALLOCATION_CREATE:
-            error = self.allocations.create(message.arg0, message.arg1)
-        elif op is Op.ALLOCATION_CHECK:
-            self.checks += 1
-            if self.allocations.containing(message.arg0) is None:
-                error = (f"access at {message.arg0:#x} is out-of-bounds "
-                         f"or use-after-free")
-        elif op is Op.ALLOCATION_CHECK_BASE:
-            self.checks += 1
-            first = self.allocations.containing(message.arg0)
-            second = self.allocations.containing(message.arg1)
-            if first is None or second is None or first != second:
-                error = (f"addresses {message.arg0:#x} and {message.arg1:#x} "
-                         f"are not within the same live allocation")
-        elif op is Op.ALLOCATION_EXTEND:
-            error = self.allocations.extend(message.arg0, message.arg1,
-                                            message.aux)
-        elif op is Op.ALLOCATION_DESTROY:
-            error = self.allocations.destroy(message.arg0)
-        elif op is Op.ALLOCATION_DESTROY_ALL:
-            error = self.allocations.destroy_all(message.arg0, message.aux)
-        if error is None:
-            return None
-        return Violation(message.pid, "memory-safety", error, message)
+    def _create(self, arg0: int, arg1: int, aux: int) -> Optional[Violation]:
+        return _violation(self.allocations.create(arg0, arg1))
 
-    def handlers(self) -> dict:
-        if self._handlers is not None:
-            return self._handlers
-        allocations = self.allocations
+    def _check(self, arg0: int, arg1: int, aux: int) -> Optional[Violation]:
+        if self.allocations.containing(arg0) is None:
+            return _violation(f"access at {arg0:#x} is out-of-bounds "
+                              f"or use-after-free")
+        return None
 
-        def _violation(error: Optional[str]) -> Optional[Violation]:
-            if error is None:
-                return None
-            return Violation(0, "memory-safety", error)
+    def _check_base(self, arg0: int, arg1: int,
+                    aux: int) -> Optional[Violation]:
+        first = self.allocations.containing(arg0)
+        second = self.allocations.containing(arg1)
+        if first is None or second is None or first != second:
+            return _violation(f"addresses {arg0:#x} and {arg1:#x} "
+                              f"are not within the same live allocation")
+        return None
 
-        def create(arg0: int, arg1: int, aux: int) -> Optional[Violation]:
-            return _violation(allocations.create(arg0, arg1))
+    def _extend(self, arg0: int, arg1: int, aux: int) -> Optional[Violation]:
+        return _violation(self.allocations.extend(arg0, arg1, aux))
 
-        def check(arg0: int, arg1: int, aux: int) -> Optional[Violation]:
-            self.checks += 1
-            if allocations.containing(arg0) is None:
-                return _violation(f"access at {arg0:#x} is out-of-bounds "
-                                  f"or use-after-free")
-            return None
+    def _destroy(self, arg0: int, arg1: int, aux: int) -> Optional[Violation]:
+        return _violation(self.allocations.destroy(arg0))
 
-        def check_base(arg0: int, arg1: int, aux: int) -> Optional[Violation]:
-            self.checks += 1
-            first = allocations.containing(arg0)
-            second = allocations.containing(arg1)
-            if first is None or second is None or first != second:
-                return _violation(f"addresses {arg0:#x} and {arg1:#x} "
-                                  f"are not within the same live allocation")
-            return None
+    def _destroy_all(self, arg0: int, arg1: int,
+                     aux: int) -> Optional[Violation]:
+        return _violation(self.allocations.destroy_all(arg0, aux))
 
-        def extend(arg0: int, arg1: int, aux: int) -> Optional[Violation]:
-            return _violation(allocations.extend(arg0, arg1, aux))
-
-        def destroy(arg0: int, arg1: int, aux: int) -> Optional[Violation]:
-            return _violation(allocations.destroy(arg0))
-
-        def destroy_all(arg0: int, arg1: int, aux: int) -> Optional[Violation]:
-            return _violation(allocations.destroy_all(arg0, aux))
-
-        self._handlers = {
-            int(Op.ALLOCATION_CREATE): create,
-            int(Op.ALLOCATION_CHECK): check,
-            int(Op.ALLOCATION_CHECK_BASE): check_base,
-            int(Op.ALLOCATION_EXTEND): extend,
-            int(Op.ALLOCATION_DESTROY): destroy,
-            int(Op.ALLOCATION_DESTROY_ALL): destroy_all,
-        }
-        return self._handlers
+    HANDLERS = {
+        int(Op.ALLOCATION_CREATE): _create,
+        int(Op.ALLOCATION_CHECK): _check,
+        int(Op.ALLOCATION_CHECK_BASE): _check_base,
+        int(Op.ALLOCATION_EXTEND): _extend,
+        int(Op.ALLOCATION_DESTROY): _destroy,
+        int(Op.ALLOCATION_DESTROY_ALL): _destroy_all,
+    }
 
     def clone(self) -> "MemorySafetyPolicy":
         child = MemorySafetyPolicy()

@@ -24,7 +24,7 @@ from typing import Optional, Set
 
 from repro.compiler import ir
 from repro.compiler.passes.base import ModulePass
-from repro.core.messages import Message, Op
+from repro.core.messages import Op
 from repro.core.policy import Policy, Violation
 
 #: Event kinds carried in ``EVENT`` messages.
@@ -44,60 +44,31 @@ class TaintPolicy(Policy):
     def __init__(self) -> None:
         self.tainted: Set[int] = set()
         self.sink_checks = 0
-        self._handlers = None
 
-    def handle(self, message: Message) -> Optional[Violation]:
-        if message.op is Op.POINTER_BLOCK_COPY:
-            # Copies propagate taint (shared message vocabulary).
-            src, dst, size = message.arg0, message.arg1, message.aux
-            carried = [a for a in self.tainted if src <= a < src + size]
-            for address in carried:
-                self.tainted.add(dst + (address - src))
-            return None
-        if message.op is not Op.EVENT:
-            return None
-        kind, address = message.arg0, message.arg1
-        if kind == TAINT_SOURCE:
-            self.tainted.add(address)
-        elif kind == TAINT_CLEAR:
-            self.tainted.discard(address)
-        elif kind == TAINT_SINK:
+    def _block_copy(self, arg0: int, arg1: int, aux: int) -> None:
+        # Copies propagate taint (shared message vocabulary).
+        tainted = self.tainted
+        carried = [a for a in tainted if arg0 <= a < arg0 + aux]
+        for address in carried:
+            tainted.add(arg1 + (address - arg0))
+
+    def _event(self, arg0: int, arg1: int, aux: int) -> Optional[Violation]:
+        if arg0 == TAINT_SOURCE:
+            self.tainted.add(arg1)
+        elif arg0 == TAINT_CLEAR:
+            self.tainted.discard(arg1)
+        elif arg0 == TAINT_SINK:
             self.sink_checks += 1
-            if address in self.tainted:
-                return Violation(message.pid, "taint",
-                                 f"tainted value at {address:#x} reached "
-                                 f"a security-sensitive sink", message)
+            if arg1 in self.tainted:
+                return Violation(0, "taint",
+                                 f"tainted value at {arg1:#x} reached "
+                                 f"a security-sensitive sink")
         return None
 
-    def handlers(self) -> dict:
-        if self._handlers is not None:
-            return self._handlers
-        tainted = self.tainted
-
-        def block_copy(arg0: int, arg1: int, aux: int) -> None:
-            # Copies propagate taint (shared message vocabulary).
-            carried = [a for a in tainted if arg0 <= a < arg0 + aux]
-            for address in carried:
-                tainted.add(arg1 + (address - arg0))
-
-        def event(arg0: int, arg1: int, aux: int) -> Optional[Violation]:
-            if arg0 == TAINT_SOURCE:
-                tainted.add(arg1)
-            elif arg0 == TAINT_CLEAR:
-                tainted.discard(arg1)
-            elif arg0 == TAINT_SINK:
-                self.sink_checks += 1
-                if arg1 in tainted:
-                    return Violation(0, "taint",
-                                     f"tainted value at {arg1:#x} reached "
-                                     f"a security-sensitive sink")
-            return None
-
-        self._handlers = {
-            int(Op.POINTER_BLOCK_COPY): block_copy,
-            int(Op.EVENT): event,
-        }
-        return self._handlers
+    HANDLERS = {
+        int(Op.POINTER_BLOCK_COPY): _block_copy,
+        int(Op.EVENT): _event,
+    }
 
     def clone(self) -> "TaintPolicy":
         child = TaintPolicy()

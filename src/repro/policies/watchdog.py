@@ -14,7 +14,7 @@ from typing import Optional
 
 from repro.compiler import ir
 from repro.compiler.passes.base import ModulePass
-from repro.core.messages import Message, Op
+from repro.core.messages import Op
 from repro.core.policy import Policy, Violation
 
 #: Event kind carried in ``EVENT`` messages.
@@ -60,34 +60,19 @@ class WatchdogPolicy(Policy):
     def __init__(self) -> None:
         self.last_sequence = 0
         self.beats = 0
-        self._handlers = None
 
-    def handle(self, message: Message) -> Optional[Violation]:
-        if message.op is not Op.EVENT or message.arg0 != EVENT_HEARTBEAT:
+    def _event(self, arg0: int, arg1: int, aux: int) -> Optional[Violation]:
+        if arg0 != EVENT_HEARTBEAT:
             return None
         self.beats += 1
-        sequence = message.arg1
-        if sequence <= self.last_sequence:
-            return Violation(message.pid, "watchdog",
-                             f"non-monotonic heartbeat {sequence} after "
-                             f"{self.last_sequence} (replay?)", message)
-        self.last_sequence = sequence
+        if arg1 <= self.last_sequence:
+            return Violation(0, "watchdog",
+                             f"non-monotonic heartbeat {arg1} after "
+                             f"{self.last_sequence} (replay?)")
+        self.last_sequence = arg1
         return None
 
-    def handlers(self) -> dict:
-        if self._handlers is None:
-            def event(arg0: int, arg1: int, aux: int) -> Optional[Violation]:
-                if arg0 != EVENT_HEARTBEAT:
-                    return None
-                self.beats += 1
-                if arg1 <= self.last_sequence:
-                    return Violation(0, "watchdog",
-                                     f"non-monotonic heartbeat {arg1} after "
-                                     f"{self.last_sequence} (replay?)")
-                self.last_sequence = arg1
-                return None
-            self._handlers = {int(Op.EVENT): event}
-        return self._handlers
+    HANDLERS = {int(Op.EVENT): _event}
 
     def clone(self) -> "WatchdogPolicy":
         child = WatchdogPolicy()

@@ -1,33 +1,33 @@
-"""Property test: the packed word path and the legacy Message path
-produce identical verifier decisions.
+"""Budget-equivalence property: however a verifier's polls are
+budgeted, it reaches the verdicts of one unbounded run.
 
-Three production dispatch paths exist for the same wire stream:
-
-* **words** — ``Verifier.poll()`` unbounded: batched
-  ``_dispatch_words`` with per-op handler tables;
-* **bounded** — ``Verifier.poll(max_messages=...)``: materialized
-  ``Message`` objects through the legacy ``_dispatch``;
-* **adapter** — ``_dispatch_words`` with a policy whose ``handlers()``
-  returns None, forcing the per-message ``handle`` adapter.
-
-For any stream, all three must agree on violations (kind, detail),
-:class:`PolicyStats`, syscall tokens, and the policy's end
-state — that is the refactor's core safety contract.
+Bounded and unbounded ``Verifier.poll`` share one word-native path:
+received batches queue in a backlog with a read offset, and each poll
+dispatches what its budget allows.  For any interleaving of sends and
+polls — budgets of 0, 1, a few messages, or unbounded; one to three
+pids; one or two channels; batches with an unknown opcode or a
+truncated tail — a final unbounded drain must leave every pid in the
+state the all-unbounded run reaches (``_fingerprint``: violations,
+:class:`PolicyStats`, syscall tokens, policy entries, integrity
+failures), on the inline verifier and on the sharded coordinator.
 """
+
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.sharding import pack_stream
 from repro.cfi.hq_cfi import HQCFIPolicy
-from repro.core.messages import Op
+from repro.core.messages import MESSAGE_WORDS, Op
+from repro.core.shard_verifier import ShardedVerifier
 from repro.core.verifier import Verifier
-from repro.ipc.registry import create_channel
 from repro.policies.call_counter import CallCounterPolicy
 from repro.policies.dfi import DFIPolicy
 from repro.policies.memory_safety import MemorySafetyPolicy
 from repro.policies.taint import TaintPolicy
 from repro.policies.watchdog import WatchdogPolicy
-from repro.sim.process import Process
+from tests.test_sharding import _StubChannel, _fingerprint
 
 POLICY_FACTORIES = {
     "hq-cfi": HQCFIPolicy,
@@ -55,81 +55,131 @@ _EVENTS = st.one_of(
               st.just(0), st.just(0)),
 )
 
+_BUDGETS = st.one_of(st.none(), st.sampled_from([0, 1]),
+                     st.integers(min_value=2, max_value=5))
 
-def _run(policy_name, events, mode):
-    """Feed ``events`` through one dispatch path; snapshot the verdicts."""
-    factory = POLICY_FACTORIES[policy_name]
-    if mode == "adapter":
-        base_factory = factory
+#: An opcode the wire codec does not know.
+_BAD_OPCODE = 0x7FFF_FFFF
 
-        def factory():
-            policy = base_factory()
-            policy.handlers = lambda: None
-            return policy
+PIDS = [40, 41, 42]
 
-    verifier = Verifier(factory)
-    channel = create_channel("uarch", capacity=1 << 12)
-    verifier.attach_channel(channel)
-    process = Process(name=f"equiv-{policy_name}")
-    verifier.register_process(process.pid)
-    for op, arg0, arg1, aux in events:
-        channel.send_raw(process, op, arg0, arg1, aux)
-        if channel.pending() >= 1024:
-            verifier.poll(max_messages=10 ** 9 if mode == "bounded"
-                          else None)
-    verifier.poll(max_messages=10 ** 9 if mode == "bounded" else None)
-    pid = process.pid
-    stats = verifier.stats[pid]
-    context = verifier.contexts[pid]
-    return {
-        # pid is excluded: each _run allocates a fresh Process, so pids
-        # differ across otherwise-identical runs by construction.
-        "violations": [(v.kind, v.detail)
-                       for v in verifier.all_violations(pid)],
-        "stats": (stats.messages_processed, stats.violations,
-                  stats.max_entries, dict(stats.by_op)),
-        "tokens": verifier._syscall_tokens.get(pid, 0),
-        "entries": context.entry_count(),
-        "integrity": list(verifier.integrity_failures),
-    }
+
+@st.composite
+def _batches(draw, pids):
+    """One received batch: one to three per-pid chunks, sometimes
+    carrying an unknown opcode or missing its tail words."""
+    words = array("Q")
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        events = draw(st.lists(_EVENTS, min_size=1, max_size=8))
+        words += pack_stream(draw(st.sampled_from(pids)), events)
+    corrupt = draw(st.sampled_from([None, None, None, "opcode", "truncate"]))
+    if corrupt == "opcode":
+        index = draw(st.integers(
+            min_value=0,
+            max_value=len(words) // MESSAGE_WORDS - 1)) * MESSAGE_WORDS
+        words[index] = (words[index] >> 32 << 32) | _BAD_OPCODE
+    elif corrupt == "truncate":
+        del words[-draw(st.integers(min_value=1,
+                                    max_value=MESSAGE_WORDS - 1)):]
+    return words
+
+
+@st.composite
+def _scripts(draw):
+    """(pids, channel count, steps): sends and budgeted polls."""
+    pids = PIDS[:draw(st.integers(min_value=1, max_value=3))]
+    channels = draw(st.integers(min_value=1, max_value=2))
+    steps = draw(st.lists(st.one_of(
+        st.tuples(st.just("send"),
+                  st.integers(min_value=0, max_value=channels - 1),
+                  _batches(pids)),
+        st.tuples(st.just("poll"), _BUDGETS)), max_size=12))
+    return pids, channels, steps
+
+
+def _run(verifier, script, unbounded=False):
+    """Play ``script`` against ``verifier``, drain it unbounded, and
+    fingerprint every pid.  ``unbounded`` ignores the scripted budgets:
+    the reference run."""
+    pids, channel_count, steps = script
+    channels = [_StubChannel() for _ in range(channel_count)]
+    for channel in channels:
+        verifier.attach_channel(channel)
+    for pid in pids:
+        verifier.register_process(pid)
+    for step in steps:
+        if step[0] == "send":
+            channels[step[1]].push(step[2])
+        else:
+            verifier.poll(None if unbounded else step[1])
+    while any(channel._batches for channel in channels):
+        verifier.poll()
+    verifier.poll()
+    assert verifier.backlog_size() == 0
+    return {pid: _fingerprint(verifier, pid) for pid in pids}
+
+
+def _sorted_violations(fingerprints):
+    return {pid: (sorted(fp[0]),) + fp[1:]
+            for pid, fp in fingerprints.items()}
 
 
 @pytest.mark.parametrize("policy_name", sorted(POLICY_FACTORIES))
-@settings(max_examples=25, deadline=None)
-@given(events=st.lists(_EVENTS, min_size=0, max_size=60))
-def test_word_path_matches_legacy_paths(policy_name, events):
-    words = _run(policy_name, events, "words")
-    bounded = _run(policy_name, events, "bounded")
-    adapter = _run(policy_name, events, "adapter")
-    assert words == bounded
-    assert words == adapter
+@settings(max_examples=20, deadline=None)
+@given(script=_scripts())
+def test_any_poll_budget_matches_one_unbounded_run(policy_name, script):
+    factory = POLICY_FACTORIES[policy_name]
+    reference = _run(Verifier(factory), script, unbounded=True)
+    assert _run(Verifier(factory), script) == reference
+
+    # The coordinator raises a routing-time integrity violation at the
+    # end of the receiving poll, possibly ahead of policy violations
+    # still queued in its rings: compare violations as sorted lists.
+    sharded = ShardedVerifier(factory, 2, ring_capacity_words=64)
+    try:
+        assert _sorted_violations(_run(sharded, script)) == \
+            _sorted_violations(reference)
+    finally:
+        sharded.close()
 
 
-class TestDesignLevelEquivalence:
-    """Full run_program equivalence for both CFI variants.
+def test_bounded_poll_dispatches_the_prefix_before_a_bad_opcode():
+    """The valid messages ahead of an unknown opcode are dispatched
+    whatever the budget, as an unbounded poll dispatches them."""
+    events = [(int(Op.POINTER_DEFINE), 0x10 * i, i, 0) for i in (1, 2, 3)]
+    events.append((int(Op.SYSCALL), 1, 0, 0))
+    batch = pack_stream(40, events) + \
+        array("Q", [(40 << 32) | _BAD_OPCODE, 0, 0, 0])
+    script = ([40], 1, [("send", 0, batch), ("poll", 1)])
+    reference = _run(Verifier(HQCFIPolicy), script, unbounded=True)
+    violations, processed, _, _, _, tokens, entries, integrity = \
+        reference[40]
+    assert (processed, tokens, entries) == (4, 1, 3)
+    assert [kind for kind, _ in violations] == ["message-integrity"]
+    assert "unknown opcode" in integrity[0]
+    assert _run(Verifier(HQCFIPolicy), script) == reference
 
-    The legacy path is forced by disabling the dispatch tables, so the
-    whole pipeline (compiler passes, runtime, kernel, verifier) runs
-    against the per-message adapter; outcomes must be identical.
-    """
 
-    @pytest.mark.parametrize("design", ["hq-sfestk", "hq-retptr"])
-    def test_run_results_identical(self, design, monkeypatch):
-        from repro.core.framework import run_program
-        from repro.workloads.generator import build_module
-        from repro.workloads.profiles import get_profile
-
-        def execute():
-            module = build_module(get_profile("471.omnetpp"),
-                                  dataset="train")
-            result = run_program(module, design=design, channel="uarch",
-                                 kill_on_violation=False)
-            return (result.outcome, result.exit_status, result.output,
-                    result.messages_sent, result.max_entries,
-                    result.steps,
-                    [(v.kind, v.detail) for v in result.violations])
-
-        fast = execute()
-        monkeypatch.setattr(HQCFIPolicy, "handlers", lambda self: None)
-        legacy = execute()
-        assert fast == legacy
+def test_restart_condemns_pids_with_undispatched_words():
+    """A restart with the head batch partly drained condemns exactly
+    the live pids that still have words in the backlog."""
+    verifier = Verifier(HQCFIPolicy)
+    channel = _StubChannel()
+    verifier.attach_channel(channel)
+    for pid in (10, 11, 12, 13):
+        verifier.register_process(pid)
+    defines = [(int(Op.POINTER_DEFINE), 0x10, 0x20, 0)] * 2
+    channel.push(pack_stream(10, defines) + pack_stream(11, defines))
+    channel.push(pack_stream(12, defines) + pack_stream(14, defines))
+    assert verifier.poll(3) == 3   # 10, 10, 11: one message of 11 left
+    assert verifier.poll(0) == 0   # the second batch queues behind it
+    assert verifier.backlog_size() == 5
+    # 10 was fully dispatched, 13 sent nothing, 14 is no longer live.
+    assert verifier.restart([10, 11, 12, 13]) == [11, 12]
+    assert verifier.backlog_size() == 0
+    assert verifier.poll() == 0
+    for pid in (11, 12):
+        assert [v.kind for v in verifier.all_violations(pid)] == \
+            ["verifier-restart"]
+    assert not verifier.all_violations(10)
+    assert not verifier.all_violations(13)

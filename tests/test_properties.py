@@ -105,6 +105,7 @@ def test_message_stream_is_verifier_complete(profile):
     # messages_sent counts runtime sends; the verifier's stats are
     # surfaced via max_entries/violations — cross-check through a
     # dedicated run with a counting policy.
+    from repro.core.messages import Op
     from repro.core.policy import Policy
 
     class CountingPolicy(Policy):
@@ -114,9 +115,10 @@ def test_message_stream_is_verifier_complete(profile):
             self.seen = 0
             CountingPolicy.instances.append(self)
 
-        def handle(self, message):
+        def _count(self, arg0, arg1, aux):
             self.seen += 1
-            return None
+
+        HANDLERS = dict.fromkeys(map(int, Op), _count)
 
         def clone(self):
             return CountingPolicy()

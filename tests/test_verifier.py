@@ -1,7 +1,12 @@
 """Tests for the verifier process model (repro.core.verifier)."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.bench.msgpath import _policy_factories
+from repro.bench.sharding import pack_stream
 from repro.cfi.hq_cfi import HQCFIPolicy
 from repro.core import messages as msg
 from repro.core.verifier import Verifier
@@ -43,6 +48,23 @@ class TestLifecycle:
         verifier = Verifier(HQCFIPolicy)
         verifier.fork_process(999, 1000)
         assert 1000 in verifier.contexts
+
+    @pytest.mark.parametrize("policy_name", sorted(_policy_factories()))
+    def test_unregistered_context_is_freed_without_cyclic_gc(
+            self, policy_name):
+        """A policy context holds no reference cycle, so it dies with
+        its pid's unregistration, not at the next cyclic GC pass."""
+        factory, stream = _policy_factories()[policy_name]
+        verifier = Verifier(factory)
+        verifier.register_process(7)
+        verifier._dispatch_words(pack_stream(7, stream(40)))
+        context = weakref.ref(verifier.contexts[7])
+        gc.disable()
+        try:
+            verifier.unregister_process(7)
+            assert context() is None
+        finally:
+            gc.enable()
 
 
 class TestDispatch:
@@ -141,17 +163,6 @@ class TestIntegrity:
         verifier.poll()
         assert verifier.has_violation(process.pid)
         assert verifier.integrity_failures
-
-    def test_kill_callback_invoked(self):
-        killed = []
-        verifier = Verifier(HQCFIPolicy, kill_callback=killed.append)
-        channel = AppendWriteUArch()
-        verifier.attach_channel(channel)
-        process = Process()
-        verifier.register_process(process.pid)
-        channel.send(process, msg.pointer_check(1, 2))
-        verifier.poll()
-        assert killed == [process.pid]
 
     def test_terminated_verifier_flags_everything(self, setup):
         verifier, channel, process = setup
