@@ -11,8 +11,8 @@ Pipeline performance knobs:
 * run results are cached (in-process + on-disk under ``--cache-dir``,
   default ``.repro_cache/``), so re-invocations only execute runs they
   have never seen; ``--no-cache`` restores seed run-per-call behavior.
-* per-phase wall times land in ``BENCH_pipeline.json`` next to the
-  cache statistics, tracking the pipeline's speed across PRs.
+* ``--timing-report PATH`` writes per-phase wall times and the cache
+  statistics as JSON; by default nothing is written.
 """
 
 from __future__ import annotations
@@ -98,9 +98,6 @@ EXPERIMENTS = {
 #: Default on-disk cache location (relative to the invocation cwd).
 DEFAULT_CACHE_DIR = ".repro_cache"
 
-#: Default timing-report location.
-TIMING_REPORT = "BENCH_pipeline.json"
-
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -118,18 +115,13 @@ def main(argv=None) -> int:
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help=f"on-disk cache directory (default: "
                              f"REPRO_CACHE_DIR or {DEFAULT_CACHE_DIR})")
-    parser.add_argument("--timing-report", default=TIMING_REPORT,
-                        metavar="PATH",
-                        help="where to write per-phase wall times "
-                             "(default: %(default)s; '-' to skip)")
+    parser.add_argument("--timing-report", default="-", metavar="PATH",
+                        help="where to write per-phase wall times as "
+                             "JSON (default: '-', no report)")
     parser.add_argument("--observe", action="store_true",
                         help="run every benchmark with the observability "
                              "layer on (metrics reports persist through "
                              "the run cache; separate cache keys)")
-    parser.add_argument("--perf-profile", default=None, metavar="PATH",
-                        help="also fold the phase timings into the "
-                             "unified perf profile at PATH "
-                             "(repro.perf.profile.write)")
     args = parser.parse_args(argv)
 
     if args.observe:
@@ -175,8 +167,7 @@ def main(argv=None) -> int:
     print(f"wall time: {timer.total:.2f}s (jobs={jobs})")
     if args.timing_report != "-":
         payload = timer.write(args.timing_report, jobs,
-                              vars(stats) if stats is not None else None,
-                              perf_profile=args.perf_profile)
+                              vars(stats) if stats is not None else None)
         print(f"timing report: {args.timing_report} "
               f"(speedup vs seed serial: {payload['speedup_vs_seed']}x)")
     return 0

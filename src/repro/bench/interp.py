@@ -7,25 +7,19 @@ the compile tier's flat register VM with kernel superinstructions
 ``benchmarks/test_interp_speed.py`` floor uses, and verifies the two
 tiers produce identical results while timing them.
 
-* ``--update [PATH]`` — merge an ``interp_tier`` section into the
-  committed ``BENCH_pipeline.json`` (other keys are preserved;
-  ``repro.bench.timing`` preserves this section in turn when the
-  pipeline timer rewrites the file).
-* ``--check PATH [--tolerance F] [--min-speedup S]`` — regression
-  guard: exit non-zero if either tier's measured rate drops more than
-  ``tolerance`` below the committed section, or if the vm/closure
-  speedup falls below ``min-speedup``.
+``--min-speedup S`` exits non-zero when the vm/closure speedup of this
+run falls below ``S``: a ratio of two numbers from the same run, so a
+uniformly slow machine cannot mask a collapse of the compile tier.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import time
 from typing import Dict, Tuple
 
-from repro.bench.timing import best_of, emit_perf_profile, floor_failures
+from repro.bench.timing import best_of
 from repro.core.framework import RunResult, run_program
 from repro.workloads.generator import build_module
 from repro.workloads.profiles import BenchmarkProfile
@@ -46,12 +40,6 @@ PROFILE = BenchmarkProfile(
 )
 
 ROUNDS = 3
-SECTION = "interp_tier"
-DEFAULT_REPORT = "BENCH_pipeline.json"
-
-#: Job-local hard floor: the compile tier's reason to exist.  Asserted
-#: on fresh numbers so a uniformly slow machine cannot mask a collapse.
-DEFAULT_MIN_SPEEDUP = 3.0
 
 
 def _measure(tier: str, rounds: int) -> Tuple[float, RunResult]:
@@ -93,45 +81,6 @@ def run_benchmark(rounds: int = ROUNDS) -> Dict[str, object]:
     }
 
 
-def merge_section(path: str, section: Dict[str, object]) -> None:
-    """Write ``section`` under :data:`SECTION` in the report at
-    ``path``, preserving every other key (creates the file if absent)."""
-    payload: Dict[str, object] = {}
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-    payload[SECTION] = section
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-
-
-def check_regression(section: Dict[str, object], committed_path: str,
-                     tolerance: float, min_speedup: float) -> list:
-    """Regression failures vs the committed report (empty = pass)."""
-    failures = []
-    try:
-        with open(committed_path, encoding="utf-8") as handle:
-            committed = json.load(handle).get(SECTION)
-    except (OSError, ValueError) as error:
-        return [f"cannot read committed report {committed_path}: {error}"]
-    if not committed:
-        return [f"no {SECTION!r} section in {committed_path}"]
-    keys = ("closure_steps_per_sec", "vm_steps_per_sec")
-    for key in keys:
-        if not committed.get(key):
-            failures.append(f"{key}: no committed reference")
-    failures += floor_failures(
-        {key: section[key] for key in keys},
-        {key: committed[key] for key in keys if committed.get(key)},
-        tolerance, unit="steps/s")
-    if float(section["speedup"]) < min_speedup:
-        failures.append(
-            f"speedup: {section['speedup']}x vm-over-closure is below "
-            f"the {min_speedup}x floor (compile tier collapsed?)")
-    return failures
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.interp",
@@ -142,25 +91,9 @@ def main(argv=None) -> int:
                              "%(default)s)")
     parser.add_argument("--json", action="store_true",
                         help="print the section as JSON")
-    parser.add_argument("--update", nargs="?", const=DEFAULT_REPORT,
-                        default=None, metavar="PATH",
-                        help=f"merge the interp_tier section into the "
-                             f"report at PATH (default: {DEFAULT_REPORT})")
-    parser.add_argument("--check", default=None, metavar="PATH",
-                        help="exit non-zero if a tier's rate drops more "
-                             "than --tolerance below the report at PATH")
-    parser.add_argument("--tolerance", type=float, default=0.30,
-                        help="allowed fractional drop for --check "
-                             "(default: %(default)s)")
     parser.add_argument("--min-speedup", type=float, default=None,
-                        help="required vm-over-closure multiple, "
-                             "asserted on the fresh numbers even "
-                             "without --check (default with --check: "
-                             f"{DEFAULT_MIN_SPEEDUP})")
-    parser.add_argument("--perf-profile", default=None, metavar="PATH",
-                        help="also fold the numbers into the unified "
-                             "perf profile at PATH "
-                             "(repro.perf.profile.write)")
+                        help="required vm-over-closure multiple of this "
+                             "run (default: not checked)")
     args = parser.parse_args(argv)
 
     section = run_benchmark(args.rounds)
@@ -173,29 +106,7 @@ def main(argv=None) -> int:
         print(f"  vm       {section['vm_steps_per_sec']:>12,} steps/s")
         print(f"  speedup  {section['speedup']:>11}x")
 
-    if args.update:
-        merge_section(args.update, section)
-        print(f"updated {args.update} [{SECTION}]")
-
-    if args.perf_profile:
-        emit_perf_profile(args.perf_profile, "interp",
-                          {SECTION: section})
-
-    min_speedup = (args.min_speedup if args.min_speedup is not None
-                   else DEFAULT_MIN_SPEEDUP)
-    if args.check:
-        failures = check_regression(section, args.check, args.tolerance,
-                                    min_speedup)
-        if failures:
-            print("\nregression guard FAILED:")
-            for failure in failures:
-                print(f"  - {failure}")
-            return 1
-        print(f"\nregression guard: ok (tolerance {args.tolerance:.0%}, "
-              f"min speedup {min_speedup}x vs {args.check})")
-    elif args.min_speedup is not None:
-        # Standalone hard floor (CI's cheap job-local sanity assert;
-        # trajectory regressions are the unified perf gate's business).
+    if args.min_speedup is not None:
         if float(section["speedup"]) < args.min_speedup:
             print(f"\nspeedup floor FAILED: {section['speedup']}x "
                   f"vm-over-closure is below the {args.min_speedup}x "

@@ -1,7 +1,7 @@
 """Message-path microbenchmark CLI: ``python -m repro.bench.msgpath``.
 
 Measures messages/second through the HerQules message path at three
-levels, writing ``BENCH_msgpath.json`` next to ``BENCH_pipeline.json``:
+levels:
 
 * ``channel:<primitive>`` — raw transport throughput: send + periodic
   receive-side drain for each Table 2 primitive, no verifier attached.
@@ -16,29 +16,16 @@ levels, writing ``BENCH_msgpath.json`` next to ``BENCH_pipeline.json``:
   a generated SPEC-like workload, reporting both messages/sec and
   interpreter steps/sec.
 
-The harness is *feature-detecting*: it drives ``Channel.send_raw`` /
-``receive_words`` (the flat packed word-stream path) when the running
-tree provides them and falls back to ``Message`` objects +
-``receive_all`` otherwise — so the very same file measures a pre-change
-checkout, which is how the committed baseline in ``BENCH_msgpath.json``
-was produced.
+Messages travel the flat packed word-stream path
+(``Channel.send_raw`` / ``receive_words``).
 
 Flags:
 
 * ``--quick`` — smaller message counts (CI-sized).
 * ``--json`` — machine-readable output on stdout.
 * ``--messages N`` — override the per-benchmark message count.
-* ``--out PATH`` — where to write the JSON report ('-' to skip).
-* ``--baseline PATH`` — embed a previously captured report as the
-  comparison baseline and compute per-benchmark speedups.
-* ``--check PATH [--tolerance F]`` — regression guard: exit non-zero
-  if any benchmark's msgs/sec drops more than ``F`` (default 0.30)
-  below the committed report at PATH.  A ``--quick`` run is judged
-  against the report's ``quick_benchmarks`` section (quick-mode
-  throughput is systematically lower than full-size, so quick CI runs
-  compare like-for-like).
-* ``--update-quick PATH`` — refresh that ``quick_benchmarks`` section
-  from the current ``--quick`` run.
+* ``--out PATH`` — also write the JSON report to PATH (default '-',
+  no file).
 """
 
 from __future__ import annotations
@@ -47,12 +34,10 @@ import argparse
 import json
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
-from repro.bench.timing import (best_of, emit_perf_profile,
-                                floor_failures, reference_benchmarks,
-                                update_quick_section)
-from repro.core.messages import Message, Op
+from repro.bench.timing import best_of
+from repro.core.messages import Op
 from repro.core.verifier import Verifier
 from repro.ipc.registry import create_channel
 from repro.sim.process import Process
@@ -78,11 +63,7 @@ ROUNDS = 3
 FULL_MESSAGES = 200_000
 QUICK_MESSAGES = 20_000
 
-_OP_BY_VALUE = {int(op): op for op in Op}
-
-# Flat (op, arg0, arg1, aux) event tuples; streams below are built from
-# these so both the word path and the legacy Message path replay the
-# exact same traffic.
+# Flat (op, arg0, arg1, aux) event tuples, sent with ``send_raw``.
 Event = Tuple[int, int, int, int]
 
 _DEFINE = int(Op.POINTER_DEFINE)
@@ -194,29 +175,19 @@ def bench_channel(primitive: str, n: int) -> Dict[str, object]:
     """Transport throughput: send ``n`` messages with periodic drains."""
     channel = create_channel(primitive)
     process = Process(name="msgpath-bench")
-    send_raw = getattr(channel, "send_raw", None)
-    receive = getattr(channel, "receive_words", None) or channel.receive_all
+    send_raw = channel.send_raw
+    receive = channel.receive_words
     start = time.perf_counter()
     sent = 0
-    if send_raw is not None:
-        while sent < n:
-            burst = min(DRAIN_EVERY, n - sent)
-            for _ in range(burst):
-                send_raw(process, _DEFINE, 0x1000, 0x40_0000, 0)
-            receive()
-            sent += burst
-    else:
-        define = Op.POINTER_DEFINE
-        while sent < n:
-            burst = min(DRAIN_EVERY, n - sent)
-            for _ in range(burst):
-                channel.send(process, Message(define, 0x1000, 0x40_0000))
-            receive()
-            sent += burst
+    while sent < n:
+        burst = min(DRAIN_EVERY, n - sent)
+        for _ in range(burst):
+            send_raw(process, _DEFINE, 0x1000, 0x40_0000, 0)
+        receive()
+        sent += burst
     elapsed = time.perf_counter() - start
     return {"messages": n, "elapsed_s": elapsed,
-            "msgs_per_sec": n / elapsed if elapsed else 0.0,
-            "path": "words" if send_raw is not None else "objects"}
+            "msgs_per_sec": n / elapsed if elapsed else 0.0}
 
 
 def bench_policy(name: str, factory: Callable,
@@ -227,27 +198,19 @@ def bench_policy(name: str, factory: Callable,
     verifier.attach_channel(channel)
     process = Process(name="msgpath-bench")
     verifier.register_process(process.pid)
-    send_raw = getattr(channel, "send_raw", None)
+    send_raw = channel.send_raw
     start = time.perf_counter()
-    if send_raw is not None:
-        for base in range(0, len(stream), DRAIN_EVERY):
-            for op, arg0, arg1, aux in stream[base:base + DRAIN_EVERY]:
-                send_raw(process, op, arg0, arg1, aux)
-            verifier.poll()
-    else:
-        ops = _OP_BY_VALUE
-        for base in range(0, len(stream), DRAIN_EVERY):
-            for op, arg0, arg1, aux in stream[base:base + DRAIN_EVERY]:
-                channel.send(process, Message(ops[op], arg0, arg1, aux))
-            verifier.poll()
+    for base in range(0, len(stream), DRAIN_EVERY):
+        for op, arg0, arg1, aux in stream[base:base + DRAIN_EVERY]:
+            send_raw(process, op, arg0, arg1, aux)
+        verifier.poll()
     verifier.poll()
     elapsed = time.perf_counter() - start
     stats = verifier.stats.get(process.pid)
     return {"messages": len(stream), "elapsed_s": elapsed,
             "msgs_per_sec": len(stream) / elapsed if elapsed else 0.0,
             "processed": stats.messages_processed if stats else 0,
-            "violations": stats.violations if stats else 0,
-            "path": "words" if send_raw is not None else "objects"}
+            "violations": stats.violations if stats else 0}
 
 
 def bench_e2e(design: str = "hq-sfestk", channel: str = "uarch",
@@ -285,69 +248,27 @@ def run_suite(messages: int, quick: bool,
 
 
 # ---------------------------------------------------------------------------
-# Reporting / regression guard
+# Reporting
 # ---------------------------------------------------------------------------
 
 def build_report(benchmarks: Dict[str, Dict[str, object]], messages: int,
-                 quick: bool,
-                 baseline: Optional[dict] = None) -> dict:
-    report = {
+                 quick: bool) -> dict:
+    return {
         "harness": "repro.bench.msgpath",
         "quick": quick,
         "messages": messages,
         "hot_path": HOT_PATH,
         "benchmarks": benchmarks,
     }
-    if baseline is not None:
-        base_benchmarks = baseline.get("benchmarks", {})
-        speedup = {}
-        for key, current in benchmarks.items():
-            before = base_benchmarks.get(key, {}).get("msgs_per_sec")
-            if before:
-                speedup[key] = round(
-                    float(current["msgs_per_sec"]) / float(before), 2)
-        report["baseline"] = {
-            "note": baseline.get("note",
-                                 "same harness on the pre-change tree"),
-            "benchmarks": base_benchmarks,
-        }
-        report["speedup_vs_baseline"] = speedup
-    return report
-
-
-def check_regression(benchmarks: Dict[str, Dict[str, object]],
-                     committed_path: str, tolerance: float,
-                     quick: bool = False) -> List[str]:
-    """Compare against a committed report; list the benchmarks that
-    regressed by more than ``tolerance`` (fraction of msgs/sec).
-
-    A quick run is judged against the committed report's
-    ``quick_benchmarks`` section when present: quick-mode throughput is
-    systematically below full-size throughput (less warm-up
-    amortization per message), so comparing a ``--quick`` CI run
-    against full-size references would flag phantom regressions.
-    """
-    with open(committed_path) as fh:
-        committed = json.load(fh)
-    reference_set = reference_benchmarks(committed, quick)
-    return floor_failures(
-        {key: entry.get("msgs_per_sec")
-         for key, entry in benchmarks.items()},
-        {key: entry.get("msgs_per_sec")
-         for key, entry in reference_set.items()},
-        tolerance)
 
 
 def format_human(report: dict) -> str:
     lines = ["message-path throughput (msgs/sec)", ""]
-    speedups = report.get("speedup_vs_baseline", {})
     width = max(len(key) for key in report["benchmarks"])
     for key, entry in report["benchmarks"].items():
         extra = ""
-        if key in speedups:
-            extra = f"   {speedups[key]:.2f}x vs baseline"
         if key.startswith("e2e"):
-            extra += f"   ({entry['steps_per_sec']:,.0f} steps/s)"
+            extra = f"   ({entry['steps_per_sec']:,.0f} steps/s)"
         marker = "  <- hot path" if key == report["hot_path"] else ""
         lines.append(f"  {key:<{width}}  {entry['msgs_per_sec']:>12,.0f}"
                      f"{extra}{marker}")
@@ -368,39 +289,14 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=ROUNDS,
                         help="timing repeats per benchmark; the best "
                              "round is reported (default: %(default)s)")
-    parser.add_argument("--out", default="BENCH_msgpath.json",
-                        help="report path (default: %(default)s; '-' skips)")
-    parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help="embed PATH (a previous report) as the "
-                             "comparison baseline")
-    parser.add_argument("--check", default=None, metavar="PATH",
-                        help="regression guard: fail if msgs/sec drops more "
-                             "than --tolerance below the report at PATH")
-    parser.add_argument("--tolerance", type=float, default=0.30,
-                        help="allowed fractional drop for --check "
-                             "(default: %(default)s)")
-    parser.add_argument("--update-quick", default=None, metavar="PATH",
-                        help="merge this --quick run's numbers into the "
-                             "committed report at PATH as its "
-                             "quick_benchmarks section (the reference "
-                             "--check uses for quick runs)")
-    parser.add_argument("--perf-profile", default=None, metavar="PATH",
-                        help="also fold the numbers into the unified "
-                             "perf profile at PATH "
-                             "(repro.perf.profile.write)")
+    parser.add_argument("--out", default="-",
+                        help="report path (default: '-', no file)")
     args = parser.parse_args(argv)
-    if args.update_quick and not args.quick:
-        parser.error("--update-quick requires --quick")
 
     messages = args.messages or (QUICK_MESSAGES if args.quick
                                  else FULL_MESSAGES)
-    baseline = None
-    if args.baseline:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
-
     benchmarks = run_suite(messages, quick=args.quick, rounds=args.rounds)
-    report = build_report(benchmarks, messages, args.quick, baseline)
+    report = build_report(benchmarks, messages, args.quick)
 
     if args.out != "-":
         with open(args.out, "w") as fh:
@@ -411,25 +307,6 @@ def main(argv=None) -> int:
         print()
     else:
         print(format_human(report))
-
-    if args.update_quick:
-        update_quick_section(args.update_quick, benchmarks, messages)
-
-    if args.perf_profile:
-        emit_perf_profile(args.perf_profile, "msgpath", report,
-                          quick=args.quick,
-                          meta={"messages": messages})
-
-    if args.check:
-        failures = check_regression(benchmarks, args.check, args.tolerance,
-                                    quick=args.quick)
-        if failures:
-            print("\nthroughput regression detected:", file=sys.stderr)
-            for failure in failures:
-                print(f"  {failure}", file=sys.stderr)
-            return 2
-        print(f"\nregression guard: ok (tolerance {args.tolerance:.0%} "
-              f"vs {args.check})")
     return 0
 
 

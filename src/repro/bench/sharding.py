@@ -1,9 +1,9 @@
 """Sharded-verifier scale-out benchmark: ``python -m repro.bench.sharding``.
 
 Measures aggregate validation throughput (msgs/sec) of the sharded
-verifier runtime as the shard count grows, writing
-``BENCH_sharding.json``.  Each sweep point spawns one *real OS worker
-process per shard* (:class:`repro.core.shard_verifier.ShardWorker`):
+verifier runtime as the shard count grows.  Each sweep point spawns
+one *real OS worker process per shard*
+(:class:`repro.core.shard_verifier.ShardWorker`):
 the producer packs the hot-path HQ-CFI word stream for a population of
 pids, routes each pid's stream to its shard's lock-free shared-memory
 SPSC ring via the consistent-hash :class:`~repro.core.sharding.
@@ -30,10 +30,16 @@ busiest shard's share of the message volume caps the speedup at
 ``1 / max_shard_fraction``.  The report records per-shard loads so a
 balance regression is visible, not silently folded into the ratio.
 
+Each point is timed once per round, for :data:`ROUNDS` interleaved
+rounds (1, 2, 1, 2, ... for the quick sweep), so a slow spell on the
+host lands on every point.  A point's scaling ratio is the median over
+the rounds of its throughput over the same round's 1-shard throughput;
+``--min-scaling`` asserts the 2-shard ratio, so one slow round cannot
+fail it.
+
 Flags mirror ``repro.bench.msgpath``: ``--quick`` (CI-sized),
-``--shards 1,2,4,8``, ``--json``, ``--out``, ``--check PATH``
-(regression guard: per-point throughput floors *plus* the 2-shard /
-1-shard scaling floor of ``--min-scaling``), ``--update-quick PATH``.
+``--shards 1,2,4,8``, ``--json``, ``--out`` (default '-', no file),
+``--min-scaling``.
 """
 
 from __future__ import annotations
@@ -46,9 +52,6 @@ from array import array
 from typing import Dict, List
 
 from repro.bench.msgpath import _cfi_stream
-from repro.bench.timing import (emit_perf_profile, floor_failures,
-                                reference_benchmarks,
-                                update_quick_section)
 from repro.core.messages import MESSAGE_WORDS, _MASK32, _MASK64
 from repro.core.sharding import ShardMap
 from repro.core.shard_verifier import ShardWorker
@@ -75,8 +78,9 @@ PUBLISH_BLOCK = 512
 #: The policy every worker runs: the paper's hot path.
 POLICY = "hq-cfi"
 
-#: Floor for the 2-shard / 1-shard scaling ratio enforced by --check.
-MIN_SCALING_2 = 1.4
+#: Interleaved rounds per sweep; each times every point once.  Odd, so
+#: the median is one round's value.
+ROUNDS = 15
 
 
 def pack_stream(pid: int, events) -> array:
@@ -166,24 +170,46 @@ def bench_point(num_shards: int, total_messages: int,
 
 
 def run_suite(shard_counts, total_messages: int
-              ) -> Dict[str, Dict[str, object]]:
+              ) -> Dict[str, List[Dict[str, object]]]:
+    """Every point's result in each of :data:`ROUNDS` rounds; a round
+    times the points in shard-count order."""
+    runs: Dict[str, List[Dict[str, object]]] = {
+        f"shards:{count}": [] for count in shard_counts}
+    for _ in range(ROUNDS):
+        for count in shard_counts:
+            runs[f"shards:{count}"].append(
+                bench_point(count, total_messages))
+    return runs
+
+
+def scaling_table(runs: Dict[str, List[Dict[str, object]]]
+                  ) -> Dict[str, float]:
+    """Each point's median per-round throughput ratio over the 1-shard
+    point of the same round."""
+    base = runs.get("shards:1")
+    if not base:
+        return {}
+    return {key: round(sorted(
+        float(point["msgs_per_sec"]) / float(one["msgs_per_sec"])
+        for point, one in zip(rounds, base))[ROUNDS // 2], 3)
+        for key, rounds in runs.items()}
+
+
+def median_points(runs: Dict[str, List[Dict[str, object]]]
+                  ) -> Dict[str, Dict[str, object]]:
+    """Each point's median round by throughput, with every round's
+    throughput under ``round_msgs_per_sec``."""
     benchmarks: Dict[str, Dict[str, object]] = {}
-    for count in shard_counts:
-        benchmarks[f"shards:{count}"] = bench_point(count, total_messages)
+    for key, rounds in runs.items():
+        ranked = sorted(rounds, key=lambda point: point["msgs_per_sec"])
+        entry = dict(ranked[ROUNDS // 2])
+        entry["round_msgs_per_sec"] = [point["msgs_per_sec"]
+                                       for point in rounds]
+        benchmarks[key] = entry
     return benchmarks
 
 
-def scaling_table(benchmarks: Dict[str, Dict[str, object]]
-                  ) -> Dict[str, float]:
-    """Aggregate-throughput ratios relative to the 1-shard point."""
-    base = benchmarks.get("shards:1", {}).get("msgs_per_sec")
-    if not base:
-        return {}
-    return {key: round(float(entry["msgs_per_sec"]) / float(base), 3)
-            for key, entry in benchmarks.items()}
-
-
-def build_report(benchmarks: Dict[str, Dict[str, object]],
+def build_report(runs: Dict[str, List[Dict[str, object]]],
                  total_messages: int, quick: bool) -> dict:
     return {
         "harness": "repro.bench.sharding",
@@ -191,49 +217,31 @@ def build_report(benchmarks: Dict[str, Dict[str, object]],
         "messages": total_messages,
         "pids": PIDS,
         "policy": POLICY,
+        "rounds": ROUNDS,
         "throughput_model": "total messages / max per-shard busy CPU "
                             "seconds (dedicated core per shard)",
-        "benchmarks": benchmarks,
-        "scaling": scaling_table(benchmarks),
+        "benchmarks": median_points(runs),
+        "scaling": scaling_table(runs),
     }
 
 
-def scaling_floor_failures(benchmarks: Dict[str, Dict[str, object]],
-                           min_scaling: float) -> List[str]:
-    """Job-local hard floor: the current run's 2-shard point must
-    deliver at least ``min_scaling`` times its own 1-shard point — the
+def below_scaling_floor(scaling: Dict[str, float],
+                        min_scaling: float) -> List[str]:
+    """Job-local hard floor: the 2-shard point must deliver at least
+    ``min_scaling`` times the 1-shard point of the same run — the
     scale-out's reason to exist, asserted on fresh numbers so a
     uniformly slow machine cannot mask a lost speedup."""
-    two = scaling_table(benchmarks).get("shards:2")
+    two = scaling.get("shards:2")
     if two is not None and two < min_scaling:
         return [f"shards:2 scaling {two:.2f}x is below the "
                 f"{min_scaling:.2f}x floor over shards:1"]
     return []
 
 
-def check_regression(benchmarks: Dict[str, Dict[str, object]],
-                     committed_path: str, tolerance: float,
-                     min_scaling: float, quick: bool) -> List[str]:
-    """Guard both absolute throughput and the scaling shape: the
-    per-point tolerance floors vs the committed report (its
-    ``quick_benchmarks`` section for quick runs) plus the 2-shard
-    scaling floor."""
-    failures = scaling_floor_failures(benchmarks, min_scaling)
-    with open(committed_path) as fh:
-        committed = json.load(fh)
-    reference_set = reference_benchmarks(committed, quick)
-    failures += floor_failures(
-        {key: entry.get("msgs_per_sec")
-         for key, entry in benchmarks.items()},
-        {key: entry.get("msgs_per_sec")
-         for key, entry in reference_set.items()},
-        tolerance)
-    return failures
-
-
 def format_human(report: dict) -> str:
     lines = ["sharded-verifier aggregate throughput "
-             "(msgs/sec, dedicated-core model)", ""]
+             f"(msgs/sec, dedicated-core model, median of "
+             f"{report['rounds']} rounds)", ""]
     scaling = report.get("scaling", {})
     for key, entry in report["benchmarks"].items():
         ratio = scaling.get(key)
@@ -272,40 +280,21 @@ def main(argv=None) -> int:
                         help="override total messages per sweep point")
     parser.add_argument("--json", action="store_true",
                         help="print the JSON report on stdout")
-    parser.add_argument("--out", default="BENCH_sharding.json",
-                        help="report path (default: %(default)s; "
-                             "'-' skips)")
-    parser.add_argument("--check", default=None, metavar="PATH",
-                        help="regression guard: fail on throughput drops "
-                             "beyond --tolerance vs PATH, or 2-shard "
-                             "scaling below --min-scaling")
-    parser.add_argument("--tolerance", type=float, default=0.35,
-                        help="allowed fractional throughput drop for "
-                             "--check (default: %(default)s)")
+    parser.add_argument("--out", default="-",
+                        help="report path (default: '-', no file)")
     parser.add_argument("--min-scaling", type=float, default=None,
                         help="2-shard/1-shard scaling floor, asserted "
-                             "on the fresh numbers even without "
-                             "--check (default with --check: "
-                             f"{MIN_SCALING_2})")
-    parser.add_argument("--update-quick", default=None, metavar="PATH",
-                        help="merge this --quick run's numbers into the "
-                             "committed report at PATH as its "
-                             "quick_benchmarks section")
-    parser.add_argument("--perf-profile", default=None, metavar="PATH",
-                        help="also fold the numbers into the unified "
-                             "perf profile at PATH "
-                             "(repro.perf.profile.write)")
+                             "on the median per-round ratio (default: "
+                             "not checked)")
     args = parser.parse_args(argv)
-    if args.update_quick and not args.quick:
-        parser.error("--update-quick requires --quick")
 
     shard_counts = args.shards or (list(QUICK_SHARDS) if args.quick
                                    else list(FULL_SHARDS))
     total_messages = args.messages or (QUICK_MESSAGES if args.quick
                                        else FULL_MESSAGES)
 
-    benchmarks = run_suite(shard_counts, total_messages)
-    report = build_report(benchmarks, total_messages, args.quick)
+    report = build_report(run_suite(shard_counts, total_messages),
+                          total_messages, args.quick)
 
     if args.out != "-":
         with open(args.out, "w") as fh:
@@ -317,33 +306,9 @@ def main(argv=None) -> int:
     else:
         print(format_human(report))
 
-    if args.update_quick:
-        update_quick_section(args.update_quick, benchmarks,
-                             total_messages,
-                             quick_scaling=scaling_table(benchmarks))
-
-    if args.perf_profile:
-        emit_perf_profile(args.perf_profile, "sharding", report,
-                          quick=args.quick,
-                          meta={"messages": total_messages})
-
-    min_scaling = (args.min_scaling if args.min_scaling is not None
-                   else MIN_SCALING_2)
-    if args.check:
-        failures = check_regression(benchmarks, args.check, args.tolerance,
-                                    min_scaling, quick=args.quick)
-        if failures:
-            print("\nsharding regression detected:", file=sys.stderr)
-            for failure in failures:
-                print(f"  {failure}", file=sys.stderr)
-            return 2
-        print(f"\nregression guard: ok (tolerance {args.tolerance:.0%}, "
-              f"min 2-shard scaling {min_scaling:.2f}x, "
-              f"vs {args.check})")
-    elif args.min_scaling is not None:
-        # Standalone hard floor (CI's cheap job-local sanity assert;
-        # trajectory regressions are the unified perf gate's business).
-        failures = scaling_floor_failures(benchmarks, args.min_scaling)
+    if args.min_scaling is not None:
+        failures = below_scaling_floor(report["scaling"],
+                                       args.min_scaling)
         if failures:
             print("\nscaling floor FAILED:", file=sys.stderr)
             for failure in failures:

@@ -1,14 +1,11 @@
 """Wall-clock instrumentation for the experiment pipeline.
 
 ``python -m repro.bench`` wraps each experiment in a
-:class:`PipelineTimer` phase and writes the result to
-``BENCH_pipeline.json`` at the repo root, so the pipeline's own
-performance (interpreter fast path, run-result cache, ``--jobs``
-fan-out) is tracked across PRs the same way the paper's numbers are.
-
-The JSON report records per-phase seconds, the total, the job count and
-cache statistics of the run, and the measured seed-baseline wall time
-(:data:`SEED_SERIAL_SECONDS`) the speedup is computed against.
+:class:`PipelineTimer` phase and, given ``--timing-report PATH``,
+writes the result there as JSON: per-phase seconds, the total, the job
+count and cache statistics of the run, and the measured seed-baseline
+wall time (:data:`SEED_SERIAL_SECONDS`) the speedup is computed
+against.
 """
 
 from __future__ import annotations
@@ -16,7 +13,7 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Mapping, Optional
+from typing import Callable, Dict, Iterator, Optional
 
 #: Measured wall time of the full serial, uncached ``python -m
 #: repro.bench`` at the seed commit (b7c76a3) on the reference CI
@@ -44,7 +41,7 @@ class PipelineTimer:
         return sum(self.phases.values())
 
     def report(self, jobs: int, cache_stats: Optional[dict] = None) -> dict:
-        """The ``BENCH_pipeline.json`` payload."""
+        """The timing-report payload."""
         total = self.total
         return {
             "pipeline": "python -m repro.bench",
@@ -59,24 +56,11 @@ class PipelineTimer:
         }
 
     def write(self, path: str, jobs: int,
-              cache_stats: Optional[dict] = None,
-              perf_profile: Optional[str] = None) -> dict:
+              cache_stats: Optional[dict] = None) -> dict:
         payload = self.report(jobs, cache_stats)
-        # The interpreter-tier section is owned by ``python -m
-        # repro.bench.interp --update``; carry it through rewrites so
-        # the two producers can share one committed report.
-        try:
-            with open(path, encoding="utf-8") as handle:
-                existing = json.load(handle)
-            if "interp_tier" in existing:
-                payload["interp_tier"] = existing["interp_tier"]
-        except (OSError, ValueError):
-            pass
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=False)
             handle.write("\n")
-        if perf_profile:
-            emit_perf_profile(perf_profile, "pipeline", payload)
         return payload
 
 
@@ -84,18 +68,15 @@ class PipelineTimer:
 # Shared measurement harness
 # ---------------------------------------------------------------------------
 #
-# Every timing CLI in this package (msgpath, interp, sharding) uses the
-# same defences against scheduler noise and the same regression-guard
-# semantics; they live here once instead of three slightly-divergent
-# copies.
+# The best-of-N defence against scheduler noise that the msgpath and
+# interp timing CLIs share.
 
 def best_of(rounds: int, fn: Callable[[], Dict[str, object]], *,
             key: str = "msgs_per_sec") -> Dict[str, object]:
     """Run ``fn`` up to ``rounds`` times; keep the result dict with the
     highest value under ``key``, annotated with the round count — the
     standard defence against scheduler noise when timing sub-second
-    loops.  The profile schema records ``rounds`` so the degradation
-    detectors can scale their noise allowance accordingly."""
+    loops."""
     rounds = max(1, rounds)
     best: Optional[Dict[str, object]] = None
     for _ in range(rounds):
@@ -105,65 +86,3 @@ def best_of(rounds: int, fn: Callable[[], Dict[str, object]], *,
     assert best is not None
     best["rounds"] = rounds
     return best
-
-
-def reference_benchmarks(committed: Mapping[str, object],
-                         quick: bool) -> Mapping[str, object]:
-    """The benchmark set a run should be judged against: a quick run
-    compares like-for-like with the committed report's
-    ``quick_benchmarks`` section when one exists (quick-mode throughput
-    is systematically below full-size throughput)."""
-    if quick and committed.get("quick_benchmarks"):
-        return committed["quick_benchmarks"]  # type: ignore[return-value]
-    return committed.get("benchmarks", {})  # type: ignore[return-value]
-
-
-def floor_failures(current: Mapping[str, float],
-                   reference: Mapping[str, float],
-                   tolerance: float, *,
-                   unit: str = "msgs/s") -> List[str]:
-    """Tolerance-floor comparison: one failure line per metric whose
-    current value fell more than ``tolerance`` below its reference.
-    Metrics missing from either side are skipped (the unified
-    ``repro.perf check`` gate warns about those)."""
-    failures: List[str] = []
-    for name in sorted(reference):
-        ref = reference[name]
-        cur = current.get(name)
-        if not ref or cur is None:
-            continue
-        floor = float(ref) * (1.0 - tolerance)
-        if float(cur) < floor:
-            failures.append(
-                f"{name}: {float(cur):,.0f} {unit} is below the "
-                f"{tolerance:.0%}-tolerance floor {floor:,.0f} "
-                f"(committed {float(ref):,.0f})")
-    return failures
-
-
-def update_quick_section(path: str, benchmarks: Dict[str, object],
-                         messages: int, **extra: object) -> None:
-    """Merge a ``--quick`` run's numbers into the committed report at
-    ``path`` as its ``quick_benchmarks`` section (plus any extra
-    ``quick_*`` keys), preserving everything else."""
-    with open(path, encoding="utf-8") as fh:
-        committed = json.load(fh)
-    committed["quick_benchmarks"] = benchmarks
-    committed["quick_messages"] = messages
-    committed.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(committed, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def emit_perf_profile(path: str, source: str, payload: dict, *,
-                      quick: Optional[bool] = None,
-                      meta: Optional[dict] = None) -> None:
-    """Fold a bench report into a unified perf profile at ``path``
-    through the shared :func:`repro.perf.profile.write` API (the
-    payload keeps being written in its native shape alongside)."""
-    from repro.perf import profile as perf_profile
-    from repro.perf import snapshots
-    metrics = snapshots.metrics_from_payload(payload, quick=False)
-    perf_profile.write(path, source, metrics, quick=quick,
-                       meta=meta)

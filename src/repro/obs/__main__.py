@@ -137,12 +137,6 @@ def cmd_export(args: argparse.Namespace) -> int:
         with open(args.out, "w") as handle:
             handle.write(payload)
         print(f"metrics report: {args.out}")
-    if args.perf_profile:
-        from repro.bench.timing import emit_perf_profile
-        emit_perf_profile(args.perf_profile, "obs", report,
-                          meta={"profile": args.profile,
-                                "design": args.design})
-        print(f"perf profile: {args.perf_profile}")
     if args.trace:
         with open(args.trace, "w") as handle:
             json.dump(chrome_trace(observer.tracer), handle, indent=1)
@@ -195,10 +189,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                                "default: %(default)s)")
     p_export.add_argument("--trace", default=None, metavar="PATH",
                           help="also write a Chrome trace_event JSON")
-    p_export.add_argument("--perf-profile", default=None, metavar="PATH",
-                          help="also fold the timing-histogram sums "
-                               "into the unified perf profile at PATH "
-                               "(repro.perf.profile.write)")
     p_export.set_defaults(func=cmd_export)
 
     p_diff = sub.add_parser("diff",

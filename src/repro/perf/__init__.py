@@ -1,12 +1,4 @@
-"""Performance-history subsystem (``python -m repro.perf``).
-
-Per-commit performance profiles, a ``perf_history/`` store, statistical
-degradation detectors over the trajectory, and the single CI perf gate
-that replaced the five per-job tolerance checks.  See
-:mod:`repro.perf.profile` for the schema, :mod:`repro.perf.detect` for
-the detector math, and :mod:`repro.perf.gate` for the gate contract.
+"""Performance profiles: the versioned JSON schema that ``python -m
+benchmark`` writes its results in and reads back to compare two runs.
+See :mod:`repro.perf.profile`.
 """
-
-from repro.perf.profile import (  # noqa: F401
-    HIGHER, LOWER, Metric, ProfileSchemaError, SCHEMA,
-)

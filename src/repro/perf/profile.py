@@ -1,14 +1,9 @@
-"""Versioned performance-profile schema and the shared write API.
+"""Versioned performance-profile schema and its write API.
 
-Every bench writer in the tree (``repro.bench`` pipeline timer,
-``repro.bench.msgpath``, ``repro.bench.interp``,
-``repro.bench.sharding``, ``repro.obs`` export, ``repro.traffic``)
-emits its headline numbers through :func:`write`, which merges one
-*source section* of metrics into a single profile file.  The profile is
-what ``perf_history/`` stores per commit and what the CI perf gate
-compares and runs degradation detectors over — the five divergent
-``BENCH_*.json`` formats remain on disk as migration-readable snapshots
-(see :mod:`repro.perf.snapshots`) but share this one mechanism.
+``python -m benchmark`` writes its results through :func:`write`, which
+merges one *source section* of metrics into a profile file, and
+``python -m benchmark compare`` reads two profiles back through
+:func:`load`.
 
 Schema (``repro.perf/1``)::
 
@@ -19,24 +14,19 @@ Schema (``repro.perf/1``)::
         "implementation": "cpython",
         "hostname_class": "linux-x86_64",
         "commit": "<sha or 'worktree'>",
-        "quick": false,
-        "recorded_at": "2026-08-08T12:00:00Z"   # optional
+        "recorded_at": "2026-08-08T12:00:00Z"
       },
       "metrics": {
-        "msgpath.policy:hq-cfi.msgs_per_sec": {
-          "value": 454816.0,
-          "unit": "msgs/s",
-          "rounds": 3,            # best-of-N rounds behind the number
-          "direction": "higher"   # which way is better
+        "traffic-inline.wall_s": {
+          "value": 2.41,
+          "unit": "s",
+          "rounds": 10,           # samples behind the number
+          "direction": "lower"    # which way is better
         },
         ...
       },
-      "sources": {"msgpath": {...free-form provenance...}}
+      "sources": {"benchmark": {...free-form provenance...}}
     }
-
-``rounds`` matters: the degradation detectors scale their noise
-allowance by ``1/sqrt(rounds)``, so a best-of-3 throughput number is
-judged more tightly than a single wall-clock sample.
 """
 
 from __future__ import annotations
@@ -49,8 +39,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
-#: Current schema tag.  Bump the integer on incompatible changes and
-#: teach :func:`load` to migrate the old shape.
+#: Current schema tag.  Bump the integer on incompatible changes.
 SCHEMA = "repro.perf/1"
 
 #: Metric direction markers.
@@ -86,11 +75,12 @@ class Metric:
                    direction=direction)
 
 
-def detect_commit(repo: str = ".") -> str:
-    """Best-effort HEAD sha; ``'worktree'`` outside a git checkout."""
+def detect_commit() -> str:
+    """Best-effort HEAD sha of the working directory's checkout;
+    ``'worktree'`` outside one."""
     try:
         out = subprocess.run(
-            ["git", "-C", repo, "rev-parse", "HEAD"],
+            ["git", "rev-parse", "HEAD"],
             capture_output=True, text=True, timeout=10)
     except (OSError, subprocess.SubprocessError):
         return "worktree"
@@ -98,63 +88,39 @@ def detect_commit(repo: str = ".") -> str:
     return sha if out.returncode == 0 and sha else "worktree"
 
 
-def environment(commit: Optional[str] = None, quick: bool = False,
-                timestamp: bool = True) -> Dict[str, object]:
+def environment() -> Dict[str, object]:
     """The environment fingerprint stamped into every profile."""
-    env: Dict[str, object] = {
+    return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation().lower(),
         "hostname_class": (f"{platform.system()}-{platform.machine()}"
                            .lower()),
-        "commit": commit if commit is not None else detect_commit(),
-        "quick": bool(quick),
+        "commit": detect_commit(),
+        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    if timestamp:
-        env["recorded_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ",
-                                           time.gmtime())
-    return env
 
 
-def new_profile(metrics: Optional[Mapping[str, Metric]] = None,
-                env: Optional[Mapping[str, object]] = None
+def new_profile(metrics: Optional[Mapping[str, Metric]] = None
                 ) -> Dict[str, object]:
     """A fresh, schema-stamped profile payload."""
     return {
         "schema": SCHEMA,
-        "environment": dict(env) if env is not None else environment(),
+        "environment": environment(),
         "metrics": {name: metric.to_json()
                     for name, metric in (metrics or {}).items()},
         "sources": {},
     }
 
 
-def _migrate_v0(payload: Mapping[str, object]) -> Dict[str, object]:
-    """Migrate the pre-versioning shape (bare ``{"metrics": {name:
-    number}}``, no schema tag) into a v1 profile."""
-    metrics = {}
-    for name, value in payload.get("metrics", {}).items():  # type: ignore
-        if isinstance(value, Mapping):
-            metrics[name] = Metric.from_json(value)
-        else:
-            metrics[name] = Metric(value=float(value))
-    profile = new_profile(metrics,
-                          env=payload.get("environment") or {})
-    profile["migrated_from"] = "repro.perf/0"
-    return profile
-
-
 def validate(payload: Mapping[str, object]) -> Dict[str, object]:
-    """Return ``payload`` as a v1 profile, migrating older shapes.
+    """Return ``payload`` as a v1 profile.
 
-    Raises :class:`ProfileSchemaError` for unknown schemas or malformed
-    metric entries.
+    Raises :class:`ProfileSchemaError` for untagged or unknown schemas
+    and for malformed metric entries.
     """
     schema = payload.get("schema")
     if schema is None:
-        if "metrics" in payload and "benchmarks" not in payload:
-            return _migrate_v0(payload)
-        raise ProfileSchemaError("payload has no 'schema' tag and is not "
-                                 "a v0 profile")
+        raise ProfileSchemaError("payload has no 'schema' tag")
     if schema != SCHEMA:
         raise ProfileSchemaError(f"unsupported profile schema {schema!r} "
                                  f"(this tree reads {SCHEMA!r})")
@@ -186,27 +152,16 @@ def dump(profile: Mapping[str, object], path: str) -> None:
 
 
 def write(path: str, source: str, metrics: Mapping[str, Metric], *,
-          meta: Optional[Mapping[str, object]] = None,
-          commit: Optional[str] = None,
-          quick: Optional[bool] = None) -> Dict[str, object]:
+          meta: Optional[Mapping[str, object]] = None) -> Dict[str, object]:
     """Merge one source's metrics into the profile at ``path``.
 
-    This is the one shared emission API: the profile is created (with a
-    fresh environment fingerprint) if absent, re-stamped ``quick`` when
-    the caller says so, and the source's previous metrics — the exact
-    names it registered last time, tracked under
-    ``sources[source]["metrics"]`` — are replaced wholesale so stale
-    numbers cannot linger across re-runs.
+    The profile is created (with a fresh environment fingerprint) if
+    absent, and the source's previous metrics — the exact names it
+    registered last time, tracked under ``sources[source]["metrics"]``
+    — are replaced wholesale so stale numbers cannot linger across
+    re-runs.
     """
-    if os.path.exists(path):
-        profile = load(path)
-    else:
-        profile = new_profile(env=environment(commit=commit,
-                                              quick=bool(quick)))
-    if quick is not None:
-        profile["environment"]["quick"] = bool(quick)
-    if commit is not None:
-        profile["environment"]["commit"] = commit
+    profile = load(path) if os.path.exists(path) else new_profile()
     sources = dict(profile.get("sources", {}))
     previous = set(sources.get(source, {}).get("metrics", []))
     kept = {name: entry for name, entry in profile["metrics"].items()

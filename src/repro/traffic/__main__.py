@@ -5,9 +5,9 @@ Examples::
     # Default phased run (warmup, steady, surge, drain), inline verifier.
     PYTHONPATH=src python -m repro.traffic
 
-    # The CI soak: 5000 sessions over 4 verifier shards, JSON report.
+    # 5000 sessions over 4 verifier shards, JSON report.
     PYTHONPATH=src python -m repro.traffic --sessions 5000 --shards 4 \\
-        --json BENCH_traffic.json
+        --json traffic_report.json
 
     # Quick smoke with SLO gates (what the CI traffic job runs).
     PYTHONPATH=src python -m repro.traffic --quick --json traffic_report.json
@@ -80,10 +80,6 @@ def main(argv=None) -> int:
                              "shed before sessions started dying)")
     parser.add_argument("--no-obs", action="store_true",
                         help="disable the observability layer")
-    parser.add_argument("--perf-profile", default=None, metavar="PATH",
-                        help="also fold the SLO numbers into the "
-                             "unified perf profile at PATH "
-                             "(repro.perf.profile.write)")
     args = parser.parse_args(argv)
 
     sessions = args.sessions
@@ -115,13 +111,6 @@ def main(argv=None) -> int:
         with open(args.json, "w") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
-    if args.perf_profile:
-        from repro.bench.timing import emit_perf_profile
-        emit_perf_profile(args.perf_profile, "traffic", report,
-                          quick=args.quick,
-                          meta={"sessions": sessions,
-                                "shards": args.shards or 1,
-                                "seed": args.seed})
 
     totals = report["totals"]
     slo = report["slo"]

@@ -9,6 +9,7 @@ outcome of N shards must be indistinguishable from one verifier
 dispatching the same words.
 """
 
+import json
 from array import array
 
 import pytest
@@ -478,3 +479,82 @@ class TestResolvePolicy:
     def test_unknown_name_is_an_error(self):
         with pytest.raises(KeyError):
             resolve_policy("no-such-policy")
+
+
+class TestScalingFloor:
+    """``python -m repro.bench.sharding --min-scaling`` asserts the
+    median per-round ratio of interleaved rounds (bench_point stubbed:
+    no worker processes)."""
+
+    @staticmethod
+    def _stub(monkeypatch, ratios):
+        """2-shard throughput of round ``r`` is ``ratios[r]`` times the
+        1-shard throughput; returns the shard counts in call order."""
+        from repro.bench import sharding
+        calls = []
+
+        def bench_point(num_shards, total_messages):
+            calls.append(num_shards)
+            ratio = ratios[(len(calls) - 1) // 2]
+            return {"msgs_per_sec": 1e6 * (ratio if num_shards == 2 else 1),
+                    "busy_s_max": 0.03, "wall_s": 0.05,
+                    "per_shard": [{"drained": 100}] * num_shards}
+
+        monkeypatch.setattr(sharding, "bench_point", bench_point)
+        return calls
+
+    @staticmethod
+    def _main(*argv):
+        from repro.bench import sharding
+        return sharding.main(["--quick", "--shards", "1,2", *argv])
+
+    def test_rounds_interleave_the_points(self, monkeypatch):
+        from repro.bench.sharding import ROUNDS
+        calls = self._stub(monkeypatch, [1.9] * ROUNDS)
+        assert self._main() == 0
+        assert calls == [1, 2] * ROUNDS
+
+    @pytest.mark.parametrize("outlier", [1.0, 2.9])
+    def test_one_outlier_round_cannot_fail_the_floor(self, monkeypatch,
+                                                     capsys, outlier):
+        from repro.bench.sharding import ROUNDS
+        ratios = [1.9] * ROUNDS
+        ratios[1] = outlier
+        self._stub(monkeypatch, ratios)
+        assert self._main("--min-scaling", "1.4", "--json") == 0
+        report = json.loads(capsys.readouterr().out.split("\n\n")[0])
+        assert report["scaling"]["shards:2"] == 1.9
+
+    def test_a_lost_speedup_fails_the_floor(self, monkeypatch):
+        from repro.bench.sharding import ROUNDS
+        ratios = [1.2] * ROUNDS
+        ratios[0] = 2.0
+        self._stub(monkeypatch, ratios)
+        assert self._main("--min-scaling", "1.4") == 2
+
+
+class TestShardingReport:
+    """The report of interleaved rounds, and where it goes."""
+
+    def test_default_flags_write_no_file(self, monkeypatch, tmp_path):
+        from repro.bench.sharding import ROUNDS
+        TestScalingFloor._stub(monkeypatch, [1.9] * ROUNDS)
+        monkeypatch.chdir(tmp_path)
+        assert TestScalingFloor._main() == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_keeps_every_round(self, monkeypatch, tmp_path):
+        from repro.bench.sharding import ROUNDS
+        ratios = [1.5 + 0.1 * index for index in range(ROUNDS)]
+        TestScalingFloor._stub(monkeypatch, ratios)
+        out = tmp_path / "sharding.json"
+        assert TestScalingFloor._main("--out", str(out)) == 0
+        report = json.loads(out.read_text())
+        assert report["rounds"] == ROUNDS
+        two = report["benchmarks"]["shards:2"]
+        assert two["round_msgs_per_sec"] == [1e6 * ratio
+                                             for ratio in ratios]
+        assert two["msgs_per_sec"] == 1e6 * ratios[ROUNDS // 2]
+        assert report["scaling"] == {"shards:1": 1.0,
+                                     "shards:2": round(ratios[ROUNDS // 2],
+                                                       3)}
