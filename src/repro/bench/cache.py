@@ -186,11 +186,6 @@ def enable_cache(cache: Optional[RunCache] = None,
     return _ACTIVE
 
 
-def disable_cache() -> None:
-    global _ACTIVE
-    _ACTIVE = None
-
-
 @contextmanager
 def cache_enabled(cache: Optional[RunCache] = None,
                   disk_dir: Optional[str] = None) -> Iterator[RunCache]:

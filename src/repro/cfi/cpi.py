@@ -155,6 +155,3 @@ class CPIRuntime(Runtime):
         globals enter the safe store (CPI instruments init arrays)."""
         for slot, value in image.initialized_code_pointers().items():
             self._safe_store[slot] = value
-
-    def entry_count(self) -> int:
-        return len(self._safe_store)

@@ -76,9 +76,6 @@ class IRBuilder:
                name: str = "") -> ir.Select:
         return self._emit(ir.Select(cond, if_true, if_false, name))
 
-    def phi(self, type_: Type, name: str = "") -> ir.Phi:
-        return self._emit(ir.Phi(type_, name))
-
     # -- control ------------------------------------------------------------------
 
     def br(self, target: ir.BasicBlock) -> ir.Br:
@@ -115,11 +112,6 @@ class IRBuilder:
     def memcpy(self, dst: ir.Value, src: ir.Value, size: ir.Value,
                element_type: Optional[Type] = None, decayed: bool = False) -> ir.MemCopy:
         return self._emit(ir.MemCopy(dst, src, size, move=False,
-                                     element_type=element_type, decayed=decayed))
-
-    def memmove(self, dst: ir.Value, src: ir.Value, size: ir.Value,
-                element_type: Optional[Type] = None, decayed: bool = False) -> ir.MemCopy:
-        return self._emit(ir.MemCopy(dst, src, size, move=True,
                                      element_type=element_type, decayed=decayed))
 
     def memset(self, dst: ir.Value, value: ir.Value, size: ir.Value) -> ir.MemSet:

@@ -3,13 +3,12 @@
 A :class:`Diagnostic` pins one finding to a rule id, a severity, and an
 exact IR location (function, block, instruction), so a tripped audit
 points at the instruction a pass mishandled rather than at a failing
-benchmark three layers later.  Renderers produce the human text and the
-machine JSON the lint CLI exposes.
+benchmark three layers later.  :func:`render_text` produces the human
+text; :meth:`Diagnostic.to_dict` feeds the lint CLI's JSON report.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
@@ -99,18 +98,6 @@ def render_text(diagnostics: Iterable[Diagnostic]) -> str:
         lines.append(f"{diagnostic.severity:<7} {diagnostic.rule:<24} "
                      f"{diagnostic.location}: {diagnostic.message}")
     return "\n".join(lines)
-
-
-def render_json(diagnostics: Iterable[Diagnostic],
-                coverage: Optional[Dict[str, Dict[str, int]]] = None,
-                indent: int = 2) -> str:
-    """The machine-readable report (findings + optional coverage)."""
-    payload: Dict[str, object] = {
-        "diagnostics": [d.to_dict() for d in diagnostics],
-    }
-    if coverage is not None:
-        payload["coverage"] = coverage
-    return json.dumps(payload, indent=indent, sort_keys=True)
 
 
 def summarize(diagnostics: Iterable[Diagnostic]) -> Dict[str, int]:

@@ -19,7 +19,6 @@ Typical use::
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
@@ -305,13 +304,6 @@ def _wire_and_execute(config, module, design, channel, entry, entry_args,
     runtime = config.runtime(hq_channel)
     options = config.exec_options(max_steps=max_steps, aslr=aslr, seed=seed,
                                   **(exec_option_overrides or {}))
-    # Interpreter-tier escape hatch: REPRO_INTERP_TIER=closure forces
-    # the fused-closure path everywhere (the default is the register-VM
-    # compile tier with exact deopt).  An explicit per-run override via
-    # exec_option_overrides wins over the environment.
-    tier_env = os.environ.get("REPRO_INTERP_TIER")
-    if tier_env and "interp_tier" not in (exec_option_overrides or {}):
-        options.interp_tier = tier_env
     if isinstance(runtime, HQRuntime):
         runtime.inlined = inlined_runtime
         if verifier is not None:

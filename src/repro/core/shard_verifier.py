@@ -262,10 +262,6 @@ class ShardedVerifier:
             engine.verifier.gc_epochs = value
 
     @property
-    def epoch(self) -> int:
-        return self.shards[0].verifier.epoch
-
-    @property
     def reclaimed_pids(self) -> int:
         return sum(e.verifier.reclaimed_pids for e in self.shards)
 
@@ -725,14 +721,8 @@ class ShardWorker:
     def register(self, pid: int) -> None:
         self._conn.send(("register", pid))
 
-    def fork(self, parent_pid: int, child_pid: int) -> None:
-        self._conn.send(("fork", parent_pid, child_pid))
-
     def publish(self, words, start: int = 0) -> int:
         return self.ring.publish_words(words, start)
-
-    def occupancy(self) -> int:
-        return self.ring.occupancy_words() // MESSAGE_WORDS
 
     def stop(self, timeout: float = 120.0) -> Optional[dict]:
         """Signal shutdown and collect the worker's report (None on

@@ -42,7 +42,8 @@ class RecordingChannel(Channel):
     Recording happens at word granularity: each send appends its flat
     ``(op, arg0, arg1, aux)`` payload, and :attr:`trace` materializes
     ``Message`` objects lazily — the recording tax on the hot send path
-    is one tuple, not a dataclass.
+    is one tuple, not a dataclass.  The receive side delegates objects
+    only: a verifier drains the inner channel, not this wrapper.
     """
 
     def __init__(self, inner: Channel) -> None:
@@ -74,14 +75,8 @@ class RecordingChannel(Channel):
     def _receive_raw(self) -> List[Message]:
         return self.inner._receive_raw()
 
-    def _receive_raw_words(self):
-        return self.inner._receive_raw_words()
-
     def _validate(self, messages: List[Message]) -> List[Message]:
         return self.inner._validate(messages)
-
-    def _validate_words(self, words):
-        return self.inner._validate_words(words)
 
     def resync(self) -> List[Message]:
         return self.inner.resync()

@@ -120,11 +120,3 @@ class FaultyChannel(Channel):
         # Real OS resources (SPSC ring segments) live on the inner
         # channel; a chaos run must release them like a clean run would.
         self.inner.close()
-
-    # -- attack surface pass-through -------------------------------------------
-
-    def corrupt(self, index: int, message: Message) -> None:
-        self.inner.corrupt(index, message)
-
-    def erase(self, count=None) -> None:
-        self.inner.erase(count)

@@ -21,18 +21,19 @@ The channel API is *dual-surface*: every channel speaks both the packed
 word-stream protocol (``send_raw`` / ``receive_words``, flat
 ``array('Q')`` batches in the 4-words-per-message wire format of
 ``repro.core.messages``) and the object protocol (``send`` /
-``receive_all``, :class:`~repro.core.messages.Message` lists).  The
-base class bridges each surface to the other, so a subclass implements
-exactly one side and gets the other for free:
+``receive_all``, :class:`~repro.core.messages.Message` lists).
 
-* word-native channels (the AppendWrite family, rings) override
-  ``send_raw`` and ``_receive_raw_words`` — the hot path never
-  allocates a ``Message``;
-* wrapper channels (trace recording, fault injection) override ``send``
-  and ``_receive_raw`` and keep operating on objects.
-
-A subclass must override at least one method of each bridged pair;
-overriding neither would leave the defaults calling each other.
+* The send side is bridged both ways: word-native channels (the
+  AppendWrite family, rings) override ``send_raw``, so the hot path
+  never allocates a ``Message``; wrapper channels (trace recording,
+  fault injection) override ``send`` and keep operating on objects.
+  A subclass must override one of the two; overriding neither would
+  leave the defaults calling each other.
+* The word receive side is required: every primitive implements
+  ``_receive_raw_words``, and the base derives ``_receive_raw`` from
+  it.  A wrapper instead delegates ``_receive_raw_words`` to its inner
+  channel, or overrides ``_receive_raw`` and ``receive_words`` to work
+  on objects.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ import abc
 from array import array
 from typing import Callable, List, Optional
 
-from repro.core.messages import (Message, MessageDecodeError, Op, decode_batch,
-                                 encode_batch)
+from repro.core.messages import (Message, MessageDecodeError, Op,
+                                 decode_batch)
 from repro.sim.process import Process
 
 
@@ -97,10 +98,6 @@ class Channel(abc.ABC):
         #: retry instead of failing outright (fail-closed backoff).
         self._on_full: Optional[Callable[["Channel"], None]] = None
 
-    def _next_counter(self) -> int:
-        self._counter += 1
-        return self._counter
-
     def _notify_full(self) -> None:
         """Give the kernel-side drain hook a chance to make room."""
         if self.observer is not None:
@@ -132,10 +129,6 @@ class Channel(abc.ABC):
         self.send(sender, Message(Op(op), arg0, arg1, aux))
 
     # -- receive surface ----------------------------------------------------
-
-    def _receive_raw_words(self) -> array:
-        """Drain the transport buffer as a flat word stream, unvalidated."""
-        return encode_batch(self._receive_raw())
 
     def _receive_raw(self) -> List[Message]:
         """Drain the transport buffer without integrity validation."""

@@ -35,7 +35,7 @@ mutant, and the CLI reports the reduction factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Tuple
 
 #: Hard backstop on explored transitions: the models are finite by
 #: construction, so hitting this means a model bug, not a big run.
@@ -57,9 +57,6 @@ class Step:
     reads: FrozenSet
     writes: FrozenSet
     fn: Callable = field(compare=False, hash=False)
-
-    def footprint_key(self) -> Tuple[str, FrozenSet, FrozenSet]:
-        return (self.name, self.reads, self.writes)
 
 
 def independent(a: Step, b: Step) -> bool:

@@ -77,6 +77,7 @@ class WatchdogPolicy(Policy):
     def clone(self) -> "WatchdogPolicy":
         child = WatchdogPolicy()
         child.last_sequence = self.last_sequence
+        child.beats = self.beats
         return child
 
     def entry_count(self) -> int:

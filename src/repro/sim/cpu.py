@@ -218,9 +218,7 @@ class ExecOptions:
     #: Interpreter execution tier: ``"vm"`` (default) lazily lowers
     #: functions into the flat register VM (:mod:`repro.sim.vm`) with
     #: per-instruction deopt bridges back to the closure path;
-    #: ``"closure"`` forces the fused-closure tier everywhere
-    #: (``REPRO_INTERP_TIER=closure`` is the environment escape hatch,
-    #: applied by :func:`repro.core.framework.run_program`).
+    #: ``"closure"`` forces the fused-closure tier everywhere.
     interp_tier: str = "vm"
 
 
@@ -396,18 +394,6 @@ class Interpreter:
     def _charge(self, op: str) -> None:
         cost = OP_COSTS.get(op, 1.0) * self.options.register_pressure_factor
         self.process.cycles.charge_user(cost)
-
-    def _step(self) -> None:
-        self.steps += 1
-        if self.steps > self.options.max_steps:
-            raise ExecutionLimitExceeded(
-                f"exceeded {self.options.max_steps} steps (hang?)")
-        if self._on_step is not None and \
-                self.steps % self.ON_STEP_INTERVAL == 0:
-            # The verifier runs concurrently on another core: it drains
-            # channels while the monitored program executes, costing the
-            # program nothing.
-            self._on_step()
 
     def _site_address(self, caller: ir.Function, call: ir.Instruction) -> int:
         """Stable per-call-site return address inside the caller's text."""
@@ -702,7 +688,7 @@ class Interpreter:
                 continue
             flush()
             entries.append(
-                (self._decode_single(function, block, instruction), 1,
+                (self._decode_single(function, instruction), 1,
                  instruction))
         flush()
         return _DecodedBlock(phis, entries)
@@ -822,11 +808,12 @@ class Interpreter:
             try:
                 offset = pointee.field_offset(instruction.field)
             except Exception:
-                # Malformed field: defer to the generic path so the
-                # original exception surfaces at execution time.
+                # Malformed field: the lookup's own exception surfaces
+                # at execution time.
+                field = instruction.field
+
                 def core(frame: Dict[str, int]) -> None:
-                    frame[name] = base(frame) + \
-                        self._gep_offset(instruction, frame)
+                    frame[name] = base(frame) + pointee.field_offset(field)
                 return core, cost
 
             def core(frame: Dict[str, int]) -> None:
@@ -840,7 +827,7 @@ class Interpreter:
             frame[name] = base(frame) + index(frame) * element_size
         return core, cost
 
-    def _decode_single(self, function: ir.Function, block: ir.BasicBlock,
+    def _decode_single(self, function: ir.Function,
                        instruction: ir.Instruction) -> Callable:
         """Decode one stepped instruction to a ``frame -> outcome`` run
         closure (control flow, calls, messaging, memory management)."""
@@ -1069,175 +1056,12 @@ class Interpreter:
             return run
 
         # Unknown instruction class (or a subclass of a known one):
-        # fall back to the generic isinstance-dispatch path.
-        def run(frame: Dict[str, int]):
-            return self._exec_instruction(function, block, instruction,
-                                          frame)
-        return run
-
-    # -- single instruction ------------------------------------------------------------
-
-    def _exec_instruction(self, function: ir.Function, block: ir.BasicBlock,
-                          instruction: ir.Instruction, frame: Dict[str, int]):
-        mem = self.process.memory
+        # fail closed when it runs.
         opname = instruction.opname
 
-        if isinstance(instruction, ir.BinOp):
-            self._charge("binop")
-            lhs = self._eval(instruction.lhs, frame)
-            rhs = self._eval(instruction.rhs, frame)
-            frame[instruction.name] = self._binop(instruction.op, lhs, rhs)
-            return None
-        if isinstance(instruction, ir.Cmp):
-            self._charge("cmp")
-            lhs = self._eval(instruction.lhs, frame)
-            rhs = self._eval(instruction.rhs, frame)
-            frame[instruction.name] = int(self._compare(instruction.op, lhs, rhs))
-            return None
-        if isinstance(instruction, ir.Select):
-            self._charge("select")
-            cond = self._eval(instruction.cond, frame)
-            frame[instruction.name] = self._eval(
-                instruction.if_true if cond else instruction.if_false, frame)
-            return None
-        if isinstance(instruction, ir.Cast):
-            self._charge("cast")
-            frame[instruction.name] = self._eval(instruction.value, frame)
-            return None
-        if isinstance(instruction, ir.Alloca):
-            self._charge("alloca")
-            return None  # address assigned at frame setup
-        if isinstance(instruction, ir.Load):
-            self._charge("load")
-            frame[instruction.name] = mem.load(self._eval(instruction.pointer, frame))
-            return None
-        if isinstance(instruction, ir.Store):
-            self._charge("store")
-            mem.store(self._eval(instruction.pointer, frame),
-                      self._eval(instruction.value, frame))
-            return None
-        if isinstance(instruction, ir.Gep):
-            self._charge("gep")
-            base = self._eval(instruction.pointer, frame)
-            frame[instruction.name] = base + self._gep_offset(instruction, frame)
-            return None
-        if isinstance(instruction, ir.Br):
-            self._charge("br")
-            return ("br", instruction.target)
-        if isinstance(instruction, ir.CondBr):
-            self._charge("br")
-            cond = self._eval(instruction.cond, frame)
-            return ("br", instruction.if_true if cond else instruction.if_false)
-        if isinstance(instruction, ir.Ret):
-            value = (self._eval(instruction.value, frame)
-                     if instruction.value is not None else 0)
-            return ("ret", value)
-        if isinstance(instruction, ir.Call):
-            return self._do_call(function, instruction, frame,
-                                 instruction.callee,
-                                 [self._eval(a, frame) for a in instruction.args])
-        if isinstance(instruction, ir.ICall):
-            self._charge("icall")
-            target = self._eval(instruction.target, frame)
-            callee = self.image.function_at.get(target)
-            if callee is None:
-                if self.image.function_of_address(target) is not None:
-                    # Mid-function target: a code-reuse gadget; coarse
-                    # model executes nothing and crashes.
-                    raise ProgramCrash(
-                        f"indirect call into function body at {target:#x}")
-                raise ProgramCrash(f"indirect call to non-code {target:#x}")
-            intended = instruction.meta.get("intended_targets")
-            if intended is not None and callee.name not in intended:
-                self.hijacks.append(
-                    HijackEvent("icall", target, function.name))
-            return self._do_call(function, instruction, frame, callee,
-                                 [self._eval(a, frame) for a in instruction.args])
-        if isinstance(instruction, ir.RuntimeCall):
-            args = [self._eval(a, frame) for a in instruction.args]
-            if instruction.runtime_name == "builtin_ret_slot":
-                # __builtin_return_address-style disclosure: the address
-                # of the current frame's return-address slot (wherever it
-                # lives — regular or safe stack).  RIPE uses this to
-                # emulate disclosure attacks (section 5.2).
-                frame[instruction.name] = (self.call_stack[-1][0]
-                                           if self.call_stack else 0)
-                return None
-            frame[instruction.name] = self.runtime.call(
-                instruction.runtime_name, args)
-            return None
-        if isinstance(instruction, ir.Malloc):
-            self._charge("malloc")
-            frame[instruction.name] = self.process.heap.malloc(
-                self._eval(instruction.size, frame))
-            return None
-        if isinstance(instruction, ir.Free):
-            self._charge("free")
-            self.process.heap.free(self._eval(instruction.pointer, frame))
-            return None
-        if isinstance(instruction, ir.Realloc):
-            self._charge("realloc")
-            old = self._eval(instruction.pointer, frame)
-            size = self._eval(instruction.size, frame)
-            allocation = self.process.heap.live.get(old)
-            old_size = allocation.size if allocation else 0
-            new = self.process.heap.realloc(old, size)
-            if new != old:
-                mem.copy_block(old, new, old_size // WORD_SIZE)
-                self.process.heap.free(old)
-            frame[instruction.name] = new
-            return None
-        if isinstance(instruction, ir.MemCopy):
-            dst = self._eval(instruction.dst, frame)
-            src = self._eval(instruction.src, frame)
-            size = self._eval(instruction.size, frame)
-            words = max(size // WORD_SIZE, 0)
-            self.process.cycles.charge_user(OP_COSTS["memcpy_word"] * words)
-            mem.copy_block(src, dst, words)
-            return None
-        if isinstance(instruction, ir.MemSet):
-            dst = self._eval(instruction.dst, frame)
-            value = self._eval(instruction.value, frame)
-            size = self._eval(instruction.size, frame)
-            words = max(size // WORD_SIZE, 0)
-            self.process.cycles.charge_user(OP_COSTS["memcpy_word"] * words)
-            for i in range(words):
-                mem.store(dst + i * WORD_SIZE, value)
-            return None
-        if isinstance(instruction, ir.Syscall):
-            args = [self._eval(a, frame) for a in instruction.args]
-            self.process.cycles.charge_syscall(OP_COSTS["syscall_base"])
-            frame[instruction.name] = self.syscall_dispatcher(
-                self.process, instruction.number, args)
-            if instruction.number == SYS_WRITE and len(args) >= 2:
-                self.output.append(args[1])
-            return None
-        if isinstance(instruction, ir.Setjmp):
-            self._charge("setjmp")
-            buf = self._eval(instruction.buf, frame)
-            token = self._site_address(function, instruction)
-            mem.store(buf, token)
-            self._setjmp_points[token] = (instruction, None)
-            frame[instruction.name] = 0
-            # Returning 0 now; a longjmp resumes here with its value.
-            try:
-                return None
-            finally:
-                pass
-        if isinstance(instruction, ir.Longjmp):
-            self._charge("longjmp")
-            buf = self._eval(instruction.buf, frame)
-            token = mem.load(buf)
-            value = self._eval(instruction.value, frame)
-            if token not in self._setjmp_points:
-                # Corrupted jmp_buf: control transfers to the attacker's
-                # address if it is a function entry; otherwise crash.
-                event = HijackEvent("longjmp", token, function.name)
-                self.hijacks.append(event)
-                self._execute_hijack_target(token)
-                raise _ReturnHijack(event)
-            raise _LongjmpUnwind(token, value if value else 1)
-        raise ProgramCrash(f"unknown instruction {opname}")
+        def run(frame: Dict[str, int]):
+            raise ProgramCrash(f"unknown instruction {opname}")
+        return run
 
     # -- calls --------------------------------------------------------------------------
 
@@ -1315,35 +1139,6 @@ class Interpreter:
             return frame[value.name]
         raise ProgramCrash(f"cannot evaluate {value!r}")
 
-    def _binop(self, op: str, lhs: int, rhs: int) -> int:
-        if op == "add":
-            return lhs + rhs
-        if op == "sub":
-            return lhs - rhs
-        if op == "mul":
-            return lhs * rhs
-        if op in ("div", "sdiv", "udiv"):
-            if rhs == 0:
-                raise ProgramCrash("division by zero")
-            return lhs // rhs
-        if op in ("rem", "srem", "urem"):
-            if rhs == 0:
-                raise ProgramCrash("remainder by zero")
-            return lhs % rhs
-        if op == "and":
-            return lhs & rhs
-        if op == "or":
-            return lhs | rhs
-        if op == "xor":
-            return lhs ^ rhs
-        if op == "shl":
-            return lhs << (rhs & 63)
-        if op in ("shr", "lshr", "ashr"):
-            return lhs >> (rhs & 63)
-        if op in ("fadd", "fsub", "fmul", "fdiv"):
-            return self._float_binop(op, lhs, rhs)
-        raise ProgramCrash(f"unknown binop {op}")
-
     def _float_binop(self, op: str, lhs: int, rhs: int) -> int:
         """Fixed-point float model (values scaled by 2^16).
 
@@ -1367,30 +1162,3 @@ class Interpreter:
         if self.options.fp_precision_loss:
             result &= ~0xFF  # drop low-order precision
         return result
-
-    def _compare(self, op: str, lhs: int, rhs: int) -> bool:
-        if op == "eq":
-            return lhs == rhs
-        if op == "ne":
-            return lhs != rhs
-        if op == "lt":
-            return lhs < rhs
-        if op == "le":
-            return lhs <= rhs
-        if op == "gt":
-            return lhs > rhs
-        if op == "ge":
-            return lhs >= rhs
-        raise ProgramCrash(f"unknown comparison {op}")
-
-    def _gep_offset(self, gep: ir.Gep, frame: Dict[str, int]) -> int:
-        base_type = gep.pointer.type
-        pointee = base_type.pointee if isinstance(base_type, PointerType) else None
-        if gep.field is not None:
-            if pointee is None or not hasattr(pointee, "field_offset"):
-                raise ProgramCrash("field gep on non-struct pointer")
-            return pointee.field_offset(gep.field)
-        index = self._eval(gep.index, frame)
-        element = getattr(pointee, "element", None)
-        element_size = element.size() if element is not None else WORD_SIZE
-        return index * element_size

@@ -41,8 +41,8 @@ from repro.sim.cycles import OP_COSTS
 from repro.sim.memory import WORD_SIZE
 
 #: Mirrors ``Interpreter._decode_fusable``'s dispatch: exact classes
-#: only — subclasses fall to the generic path there, so they reject the
-#: function here.
+#: only — subclasses are unknown instructions there, which crash when
+#: run, so they reject the function here.
 _FUSABLE = (ir.BinOp, ir.Cmp, ir.Load, ir.Store, ir.Gep, ir.Cast,
             ir.Select, ir.Alloca)
 
@@ -379,7 +379,7 @@ class _Lowering:
                 code.append(vm.OP_RET)
                 code.append(value_reg)
             else:
-                self._emit_escape(block, instruction)
+                self._emit_escape(instruction)
                 if isinstance(instruction, _ESCAPE_DEFINES):
                     self.defined.add(instruction.name)
         flush()
@@ -466,7 +466,7 @@ class _Lowering:
             try:
                 offset = pointee.field_offset(instruction.field)
             except Exception:
-                raise _Reject from None  # closure defers to generic path
+                raise _Reject from None  # the closure raises it when run
             base = self._reg(instruction.pointer)
             return [vm.OP_ADDI, dest, base, offset], cost
         base = self._reg(instruction.pointer)
@@ -475,8 +475,7 @@ class _Lowering:
         element_size = element.size() if element is not None else WORD_SIZE
         return [vm.OP_GEPI, dest, base, index, element_size], cost
 
-    def _emit_escape(self, block: ir.BasicBlock,
-                     instruction: ir.Instruction) -> None:
+    def _emit_escape(self, instruction: ir.Instruction) -> None:
         """Bridge one instruction to the closure tier's own handler."""
         pairs: List[Tuple[str, int]] = []
         seen: Set[str] = set()
@@ -496,7 +495,7 @@ class _Lowering:
         else:
             result_name = None
             result_reg = -1
-        run = self.interp._decode_single(self.function, block, instruction)
+        run = self.interp._decode_single(self.function, instruction)
         index = len(self.escapes)
         self.escapes.append((run, tuple(pairs), result_name, result_reg))
         self.code.append(vm.OP_ESC)

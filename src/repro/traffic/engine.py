@@ -42,8 +42,7 @@ from repro.ipc.registry import create_channel
 from repro.sim.cpu import (ProcessKilledError, SYS_EXIT, SYS_FORK, SYS_WIN)
 from repro.sim.cycles import AccountingMode, ns_to_cycles
 from repro.sim.kernel import (ADMIT, AdmissionController, DEFER,
-                              HQKernelModule, Kernel, SHED,
-                              shard_scoped_kill)
+                              HQKernelModule, Kernel, shard_scoped_kill)
 from repro.sim.process import Process
 from repro.traffic.sessions import (DEFAULT_PHASES, Phase, TABLE_SLOTS,
                                     build_session, build_worker_script,

@@ -122,6 +122,19 @@ class TestCLI:
         assert "chaos sweep: 3 runs" in out
         assert "reproduced identically" in out
 
+    def test_observe_flag_totals_counters_by_verdict(self, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr(chaos, "_OBSERVE", False)  # main sets it
+        code = chaos.main(["--seeds", "1", "--workloads", "webserver",
+                           "--channels", "model",
+                           "--faults", "forced-full-persistent",
+                           "--replay-check", "0", "--observe"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "obs counters by verdict:" in out
+        assert "[detected-kill]" in out
+        assert "kernel.fail_closed  1" in out
+
     def test_list_flag(self, capsys):
         assert chaos.main(["--list"]) == 0
         out = capsys.readouterr().out

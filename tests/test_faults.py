@@ -169,6 +169,14 @@ class TestFaultyChannelStream:
         faulty.send(Process(), msg.pointer_define(1, 2))
         assert faulty.sent_total == inner.sent_total == 1
 
+    def test_close_releases_the_inner_ring(self):
+        from repro.ipc.shared_memory import owned_segment_names
+        inner = create_channel("spsc", capacity=16)
+        faulty = FaultyChannel(inner, make_plan([]))
+        assert inner.ring.name in owned_segment_names()
+        faulty.close()
+        assert inner.ring.name not in owned_segment_names()
+
 
 @pytest.mark.parametrize("kind", ["model", "sim", "fpga", "mq", "shm"])
 class TestFaultyChannelAcrossPrimitives:

@@ -19,22 +19,31 @@ from repro.sim.process import Process
 FP_ONE = 1 << 16
 
 
-def run_main(module, options=None, entry_args=None):
-    module.verify()
-    process = Process()
-    image = Image(module, process)
-    interpreter = Interpreter(image, options=options)
-    result = interpreter.run("main", entry_args or [])
-    return result, interpreter
-
-
 def simple_main():
     module = ir.Module()
     mainf = module.add_function("main", func(I64, []))
     return module, mainf, IRBuilder(mainf.add_block("entry"))
 
 
-class TestArithmetic:
+class OnTier:
+    """Runs a class's programs on :attr:`tier`, the default VM tier; a
+    subclass at the end of this file sets ``tier = "closure"`` to run
+    the same tests on the closure tier."""
+
+    tier = "vm"
+
+    def options(self, **knobs):
+        return ExecOptions(interp_tier=self.tier, **knobs)
+
+    def run_main(self, module, options=None):
+        module.verify()
+        image = Image(module, Process())
+        interpreter = Interpreter(image, options=options or self.options())
+        result = interpreter.run("main", [])
+        return result, interpreter
+
+
+class TestArithmetic(OnTier):
     @pytest.mark.parametrize("op,lhs,rhs,expected", [
         ("add", 3, 4, 7), ("sub", 9, 4, 5), ("mul", 6, 7, 42),
         ("div", 17, 5, 3), ("rem", 17, 5, 2), ("and", 0b1100, 0b1010, 0b1000),
@@ -44,14 +53,14 @@ class TestArithmetic:
     def test_binops(self, op, lhs, rhs, expected):
         module, mainf, b = simple_main()
         b.ret(b.binop(op, b.const(lhs), b.const(rhs)))
-        result, _ = run_main(module)
+        result, _ = self.run_main(module)
         assert result == expected
 
     def test_division_by_zero_crashes(self):
         module, mainf, b = simple_main()
         b.ret(b.binop("div", b.const(1), b.const(0)))
         with pytest.raises(ProgramCrash):
-            run_main(module)
+            self.run_main(module)
 
     @pytest.mark.parametrize("op,lhs,rhs,expected", [
         ("eq", 3, 3, 1), ("ne", 3, 3, 0), ("lt", 2, 3, 1),
@@ -60,20 +69,20 @@ class TestArithmetic:
     def test_comparisons(self, op, lhs, rhs, expected):
         module, mainf, b = simple_main()
         b.ret(b.cmp(op, b.const(lhs), b.const(rhs)))
-        result, _ = run_main(module)
+        result, _ = self.run_main(module)
         assert result == expected
 
     def test_select(self):
         module, mainf, b = simple_main()
         b.ret(b.select(b.const(0), b.const(10), b.const(20)))
-        result, _ = run_main(module)
+        result, _ = self.run_main(module)
         assert result == 20
 
     def test_fixed_point_float_ops(self):
         module, mainf, b = simple_main()
         product = b.binop("fmul", b.const(2 * FP_ONE), b.const(3 * FP_ONE))
         b.ret(product)
-        result, _ = run_main(module)
+        result, _ = self.run_main(module)
         assert result == 6 * FP_ONE
 
     def test_precision_loss_truncates_float_results(self):
@@ -81,14 +90,14 @@ class TestArithmetic:
             module, mainf, b = simple_main()
             b.ret(b.binop("fmul", b.const(123457), b.const(78901)))
             return module
-        exact, _ = run_main(build())
-        lossy, _ = run_main(build(),
-                            ExecOptions(fp_precision_loss=True))
+        exact, _ = self.run_main(build())
+        lossy, _ = self.run_main(build(),
+                                 self.options(fp_precision_loss=True))
         assert lossy == exact & ~0xFF
         assert lossy != exact
 
 
-class TestControlFlow:
+class TestControlFlow(OnTier):
     def test_loop_with_phis(self):
         module, mainf, b = simple_main()
         entry = mainf.entry
@@ -109,7 +118,7 @@ class TestControlFlow:
         b.cond_br(b.cmp("lt", i2, b.const(10)), loop, done)
         b.position_at_end(done)
         b.ret(total2)
-        result, _ = run_main(module)
+        result, _ = self.run_main(module)
         assert result == sum(range(10))
 
     def test_step_limit_detects_hangs(self):
@@ -118,7 +127,7 @@ class TestControlFlow:
         b.br(loop)
         IRBuilder(loop).br(loop)
         with pytest.raises(ExecutionLimitExceeded):
-            run_main(module, ExecOptions(max_steps=100))
+            self.run_main(module, self.options(max_steps=100))
 
     def test_fallthrough_block_crashes(self):
         module, mainf, _ = simple_main()
@@ -128,10 +137,21 @@ class TestControlFlow:
         process = Process()
         image = Image(module, process)
         with pytest.raises(ProgramCrash):
-            Interpreter(image).run("main")
+            Interpreter(image, options=self.options()).run("main")
+
+    def test_unknown_instruction_crashes(self):
+        class Bogus(ir.Instruction):
+            opname = "bogus"
+
+        module, mainf, b = simple_main()
+        b._emit(Bogus())
+        b.ret(b.const(0))
+        image = Image(module, Process())
+        with pytest.raises(ProgramCrash, match="unknown instruction bogus"):
+            Interpreter(image, options=self.options()).run("main")
 
 
-class TestCallsAndMemory:
+class TestCallsAndMemory(OnTier):
     def test_direct_call_passes_args(self):
         module = ir.Module()
         callee = module.add_function("callee", func(I64, [I64, I64]))
@@ -140,7 +160,7 @@ class TestCallsAndMemory:
         mainf = module.add_function("main", func(I64, []))
         b = IRBuilder(mainf.add_block("entry"))
         b.ret(b.call(callee, [b.const(10), b.const(4)]))
-        result, _ = run_main(module)
+        result, _ = self.run_main(module)
         assert result == 6
 
     def test_recursion(self):
@@ -159,7 +179,7 @@ class TestCallsAndMemory:
         mainf = module.add_function("main", func(I64, []))
         b = IRBuilder(mainf.add_block("entry"))
         b.ret(b.call(fact, [b.const(6)]))
-        result, _ = run_main(module)
+        result, _ = self.run_main(module)
         assert result == 720
 
     def test_indirect_call_through_memory(self):
@@ -173,7 +193,7 @@ class TestCallsAndMemory:
         slot = b.alloca(ptr(sig))
         b.store(ir.FunctionRef(target), slot)
         b.ret(b.icall(b.load(slot), [b.const(5)], sig))
-        result, _ = run_main(module)
+        result, _ = self.run_main(module)
         assert result == 15
 
     def test_icall_to_garbage_crashes(self):
@@ -181,7 +201,7 @@ class TestCallsAndMemory:
         fake = b.cast(b.const(0xDEAD_0000), ptr(func(I64, [])))
         b.ret(b.icall(fake, [], func(I64, [])))
         with pytest.raises(ProgramCrash):
-            run_main(module)
+            self.run_main(module)
 
     def test_call_to_declaration_crashes(self):
         module = ir.Module()
@@ -190,7 +210,7 @@ class TestCallsAndMemory:
         b = IRBuilder(mainf.add_block("entry"))
         b.ret(b.call(external, []))
         with pytest.raises(ProgramCrash):
-            run_main(module)
+            self.run_main(module)
 
     def test_struct_field_access(self):
         record = StructType("Pair", [("a", I64), ("b", I64)])
@@ -199,8 +219,17 @@ class TestCallsAndMemory:
         b.store(b.const(11), b.gep_field(pair, "a"))
         b.store(b.const(22), b.gep_field(pair, "b"))
         b.ret(b.load(b.gep_field(pair, "b")))
-        result, _ = run_main(module)
+        result, _ = self.run_main(module)
         assert result == 22
+
+    def test_gep_to_a_missing_field_raises_when_run(self):
+        record = StructType("Pair", [("a", I64), ("b", I64)])
+        module, mainf, b = simple_main()
+        gep = b.gep_field(b.alloca(record), "a")
+        gep.field = "c"  # malformed after construction
+        b.ret(b.load(gep))
+        with pytest.raises(KeyError, match="no field 'c'"):
+            self.run_main(module)
 
     def test_array_indexing(self):
         module, mainf, b = simple_main()
@@ -208,7 +237,7 @@ class TestCallsAndMemory:
         for i in range(4):
             b.store(b.const(i * i), b.gep_index(arr, b.const(i)))
         b.ret(b.load(b.gep_index(arr, b.const(3))))
-        result, _ = run_main(module)
+        result, _ = self.run_main(module)
         assert result == 9
 
     def test_heap_intrinsics(self):
@@ -218,7 +247,7 @@ class TestCallsAndMemory:
         value = b.load(block)
         b.free(block)
         b.ret(value)
-        result, _ = run_main(module)
+        result, _ = self.run_main(module)
         assert result == 55
 
     def test_realloc_preserves_contents(self):
@@ -227,7 +256,7 @@ class TestCallsAndMemory:
         b.store(b.const(99), block)
         bigger = b.realloc(block, b.const(128))
         b.ret(b.load(bigger))
-        result, _ = run_main(module)
+        result, _ = self.run_main(module)
         assert result == 99
 
     def test_memcpy_moves_words(self):
@@ -237,18 +266,18 @@ class TestCallsAndMemory:
         b.store(b.const(7), b.gep_index(src, b.const(1)))
         b.memcpy(dst, src, b.const(16))
         b.ret(b.load(b.gep_index(dst, b.const(1))))
-        result, _ = run_main(module)
+        result, _ = self.run_main(module)
         assert result == 7
 
     def test_syscall_write_captured(self):
         module, mainf, b = simple_main()
         b.syscall(SYS_WRITE, [b.const(1), b.const(1234), b.const(8)])
         b.ret(b.const(0))
-        _, interpreter = run_main(module)
+        _, interpreter = self.run_main(module)
         assert interpreter.output == [1234]
 
 
-class TestSetjmpLongjmp:
+class TestSetjmpLongjmp(OnTier):
     def _build(self):
         """main: if setjmp(buf) == 0: helper(buf) else: return 42."""
         module = ir.Module()
@@ -272,7 +301,7 @@ class TestSetjmpLongjmp:
 
     def test_longjmp_resumes_at_setjmp(self):
         module, _ = self._build()
-        result, _ = run_main(module)
+        result, _ = self.run_main(module)
         assert result == 42
 
     def test_corrupted_jmpbuf_hijacks(self):
@@ -303,7 +332,7 @@ class TestSetjmpLongjmp:
         module.verify()
         process = Process()
         image = Image(module, process)
-        interpreter = Interpreter(image)
+        interpreter = Interpreter(image, options=self.options())
         try:
             interpreter.run("main")
         except ProgramCrash:
@@ -311,7 +340,7 @@ class TestSetjmpLongjmp:
         assert any(h.kind == "longjmp" for h in interpreter.hijacks)
 
 
-class TestReturnAddressMechanics:
+class TestReturnAddressMechanics(OnTier):
     def _overflow_module(self, overflow_words):
         """vuln() copies attacker words over its frame, then returns."""
         module = ir.Module()
@@ -337,7 +366,7 @@ class TestReturnAddressMechanics:
         module.verify()
         process = Process()
         image = Image(module, process)
-        interpreter = Interpreter(image, options=options)
+        interpreter = Interpreter(image, options=options or self.options())
         evil_address = image.function_address["evil"]
         base = image.global_address["inp"]
         for i in range(8):
@@ -359,7 +388,7 @@ class TestReturnAddressMechanics:
 
     def test_safe_stack_protects_return_address(self):
         interpreter = self._run(overflow_words=3,
-                                options=ExecOptions(safe_stack=True))
+                                options=self.options(safe_stack=True))
         assert interpreter.hijacks == []
 
     def test_builtin_ret_slot_discloses_safe_stack(self):
@@ -374,7 +403,7 @@ class TestReturnAddressMechanics:
         module.verify()
         process = Process()
         image = Image(module, process)
-        options = ExecOptions(safe_stack=True, aslr=False)
+        options = self.options(safe_stack=True, aslr=False)
         interpreter = Interpreter(image, options=options)
         slot_address = interpreter.run("main")
         assert interpreter.safe_stack_base is not None
@@ -418,3 +447,24 @@ class TestSafeStackLayouts:
                 safe_stack=True, aslr=True, seed=seed))
             bases.add(interpreter.safe_stack_base)
         assert len(bases) > 1
+
+
+# The tests above that run programs, again on the closure tier.
+class TestArithmeticClosure(TestArithmetic):
+    tier = "closure"
+
+
+class TestControlFlowClosure(TestControlFlow):
+    tier = "closure"
+
+
+class TestCallsAndMemoryClosure(TestCallsAndMemory):
+    tier = "closure"
+
+
+class TestSetjmpLongjmpClosure(TestSetjmpLongjmp):
+    tier = "closure"
+
+
+class TestReturnAddressMechanicsClosure(TestReturnAddressMechanics):
+    tier = "closure"

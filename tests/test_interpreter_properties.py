@@ -3,8 +3,10 @@
 Random straight-line arithmetic programs and random control-flow
 skeletons are executed both by the simulated CPU and by a direct Python
 evaluation of the same operations; the results must agree exactly.
-This pins the interpreter's semantics independently of the hand-written
-unit tests.
+Every program runs on both interpreter tiers, the register VM and the
+fused closures, so each example also checks the tiers against each
+other.  This pins the interpreter's semantics independently of the
+hand-written unit tests.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -12,18 +14,25 @@ from hypothesis import given, settings, strategies as st
 from repro.compiler import ir
 from repro.compiler.builder import IRBuilder
 from repro.compiler.types import ArrayType, I64, func
-from repro.sim.cpu import Interpreter
+from repro.sim.cpu import ExecOptions, Interpreter
 from repro.sim.loader import Image
 from repro.sim.process import Process
 
 SAFE_BINOPS = ["add", "sub", "mul", "and", "or", "xor", "shl", "shr"]
+#: Operators drawn with a nonzero right operand.
+DIVISIONS = ["div", "rem"]
 CMP_OPS = ["eq", "ne", "lt", "le", "gt", "ge"]
 
 
-def run_module(module, entry_args=None):
+def run_module(module):
+    """``main``'s result, the same on both interpreter tiers."""
     module.verify()
-    image = Image(module, Process())
-    return Interpreter(image).run("main", entry_args or [])
+    vm, closure = (
+        Interpreter(Image(module, Process()),
+                    options=ExecOptions(interp_tier=tier)).run("main", [])
+        for tier in ("vm", "closure"))
+    assert vm == closure
+    return vm
 
 
 def python_binop(op, lhs, rhs):
@@ -43,13 +52,19 @@ def python_binop(op, lhs, rhs):
         return lhs << (rhs & 63)
     if op == "shr":
         return lhs >> (rhs & 63)
+    if op == "div":
+        return lhs // rhs
+    if op == "rem":
+        return lhs % rhs
     raise AssertionError(op)
 
 
 @settings(max_examples=80)
 @given(operations=st.lists(
            st.tuples(st.sampled_from(SAFE_BINOPS),
-                     st.integers(min_value=0, max_value=2**20)),
+                     st.integers(min_value=0, max_value=2**20))
+           | st.tuples(st.sampled_from(DIVISIONS),
+                       st.integers(min_value=1, max_value=2**20)),
            min_size=1, max_size=24),
        seed=st.integers(min_value=0, max_value=2**20))
 def test_expression_chains_match_python(operations, seed):

@@ -274,6 +274,24 @@ class TestRuntimeIntegration:
         finally:
             worker.close()
 
+    def test_killed_worker_releases_its_ring(self):
+        """SIGKILL mid-drain: close() must still unlink the ring."""
+        from repro.bench.msgpath import _cfi_stream
+        from repro.bench.sharding import pack_stream
+        from repro.ipc.shared_memory import owned_segment_names
+        before = set(owned_segment_names())
+        worker = ShardWorker(0, "hq-cfi", capacity_words=1 << 8)
+        try:
+            assert worker.ring.name in owned_segment_names()
+            worker.register(42)
+            words = pack_stream(42, _cfi_stream(100))
+            assert worker.publish(words) > 0
+            worker.kill()
+            assert not worker.process.is_alive()
+        finally:
+            worker.close()
+        assert set(owned_segment_names()) == before
+
     def test_worker_reports_idle_polls_and_observer_counter(self):
         from repro.obs.observer import Observer
         observer = Observer()

@@ -212,6 +212,84 @@ class TestObservedRun:
         for layer in ("cpu", "kernel", "ipc", "verifier"):
             assert f"[{layer}]" in text
 
+    def test_summary_cli_prints_every_layer(self, capsys):
+        assert obs_main(["summary", "--profile", "403.gcc"]) == 0
+        out = capsys.readouterr().out
+        for layer in ("cpu", "kernel", "ipc", "verifier"):
+            assert f"[{layer}]" in out
+        assert "run: outcome=ok" in out
+
+
+def observed_gcc(channel, capacity=None, fault_injector=None):
+    """403.gcc (train) under HQ-CFI-SfeStk with an explicit observer, so
+    the trace instants can be counted next to the report's counters."""
+    observer = Observer()
+    module = build_module(get_profile("403.gcc"), dataset="train")
+    result = run_program(
+        module, design="hq-sfestk", channel=channel,
+        channel_kwargs=None if capacity is None else {"capacity": capacity},
+        fault_injector=fault_injector, observe=observer)
+    assert observer.tracer.dropped == 0
+    return result, observer
+
+
+def instants(observer, layer, name):
+    return sum(1 for _, _, event_layer, event_name, phase, _
+               in observer.tracer.events()
+               if (event_layer, event_name, phase) == (layer, name, "i"))
+
+
+class TestOverloadEvents:
+    """The counters and trace instants of the overload and fail-closed
+    paths, which no default-capacity run reaches."""
+
+    def test_tiny_fpga_ring_drops_then_falls_back(self):
+        result, observer = observed_gcc("fpga", capacity=2)
+        assert (result.outcome, result.detail) == \
+            ("killed", "policy violation")
+        counters = result.obs_report["metrics"]["counters"]
+        assert counters["ipc.full_events"] == 3 == \
+            instants(observer, "ipc", "channel-full")
+        assert counters["ipc.messages_dropped"] == 3 == \
+            instants(observer, "ipc", "message-dropped")
+        assert counters["ipc.counter_fallbacks"] == 11 == \
+            instants(observer, "ipc", "counter-fallback")
+
+    def test_small_amr_faults_into_the_kernel(self):
+        """A 16-message AMR fills five times; the kernel's handler drains
+        the verifier and rewinds the registers each time, so only the
+        stall differs from a run with the default AMR."""
+        default, _ = observed_gcc("uarch")
+        result, observer = observed_gcc("uarch", capacity=16)
+        assert (result.outcome, result.exit_status, result.messages_sent,
+                result.max_entries) == \
+            (default.outcome, default.exit_status, default.messages_sent,
+             default.max_entries) == ("ok", 0, 88, 2)
+        # Each fault is a 300 ns (1,500-cycle) stall.
+        assert (default.cycles["wait"], result.cycles["wait"]) == \
+            (1000, 8500)
+        counters = result.obs_report["metrics"]["counters"]
+        assert counters["ipc.amr_faults"] == 5 == \
+            instants(observer, "ipc", "amr-fault")
+
+    def test_tiny_model_buffer_fills(self):
+        result, observer = observed_gcc("model", capacity=2)
+        assert result.ok
+        counters = result.obs_report["metrics"]["counters"]
+        assert counters["ipc.full_events"] == 13 == \
+            instants(observer, "ipc", "channel-full")
+
+    def test_exhausted_send_retries_fail_closed(self):
+        from repro.faults import FaultInjector, FaultKind, FaultPlan
+        plan = FaultPlan(1, [FaultKind.FORCED_FULL_PERSISTENT], rate=1.0)
+        result, observer = observed_gcc(
+            "model", fault_injector=FaultInjector(plan))
+        assert result.outcome == "killed"
+        assert "fail closed" in result.detail
+        counters = result.obs_report["metrics"]["counters"]
+        assert counters["kernel.fail_closed"] == 1 == \
+            instants(observer, "kernel", "fail-closed")
+
 
 class TestDisabledPathIsInert:
     def test_observer_defaults_to_none_on_every_layer(self):

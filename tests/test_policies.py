@@ -99,6 +99,25 @@ class TestMemorySafetyPolicy:
         assert policy.handle(
             msg.allocation_check_base(0x100, 0x200)) is not None
 
+    def test_extend_moves_the_allocation(self):
+        policy = MemorySafetyPolicy()
+        policy.handle(msg.allocation_create(0x100, 32))
+        assert policy.handle(msg.allocation_extend(0x100, 0x400, 64)) is None
+        assert policy.handle(msg.allocation_check(0x430)) is None
+        assert policy.handle(msg.allocation_check(0x100)) is not None
+        violation = policy.handle(msg.allocation_extend(0x100, 0x800, 8))
+        assert violation is not None and "non-allocated" in violation.detail
+
+    def test_destroy_all_frees_a_frame(self):
+        policy = MemorySafetyPolicy()
+        policy.handle(msg.allocation_create(0x100, 8))
+        policy.handle(msg.allocation_create(0x110, 8))
+        policy.handle(msg.allocation_create(0x200, 8))
+        assert policy.handle(msg.allocation_destroy_all(0x100, 0x20)) is None
+        assert policy.entry_count() == 1
+        violation = policy.handle(msg.allocation_destroy_all(0x100, 0x20))
+        assert violation is not None and "found nothing" in violation.detail
+
     def test_clone_copies_state(self):
         policy = MemorySafetyPolicy()
         policy.handle(msg.allocation_create(0x100, 32))
@@ -233,6 +252,18 @@ class TestCallCounter:
         # (messages_sent includes them.)
         assert result.messages_sent >= 3
 
+    def test_fork_child_inherits_count_then_diverges(self):
+        parent = CallCounterPolicy(limit=3)
+        parent.handle(msg.event(EVENT_CALL, 2))
+        child = parent.clone()
+        assert (child.count, child.limit) == (2, 3)
+        # The child's next call crosses the inherited limit ...
+        assert child.handle(msg.event(EVENT_CALL, 2)) is not None
+        # ... while the parent's own count never moved.
+        assert parent.count == 2
+        assert parent.handle(msg.event(EVENT_CALL, 1)) is None
+        assert child.count == 4
+
 
 class TestWatchdog:
     def test_pass_finds_loop_headers(self):
@@ -272,3 +303,18 @@ class TestWatchdog:
         policy.handle(msg.event(EVENT_HEARTBEAT, 5))
         violation = policy.handle(msg.event(EVENT_HEARTBEAT, 3))
         assert violation is not None and "replay" in violation.detail
+
+    def test_fork_child_inherits_last_heartbeat(self):
+        """A forked child cannot replay a heartbeat its parent sent
+        before the fork; afterwards the two advance independently."""
+        from repro.policies.watchdog import EVENT_HEARTBEAT
+        parent = WatchdogPolicy()
+        parent.handle(msg.event(EVENT_HEARTBEAT, 4))
+        child = parent.clone()
+        assert (child.last_sequence, child.beats) == (4, 1)
+        violation = child.handle(msg.event(EVENT_HEARTBEAT, 4))
+        assert violation is not None and "replay" in violation.detail
+        assert child.handle(msg.event(EVENT_HEARTBEAT, 9)) is None
+        assert parent.handle(msg.event(EVENT_HEARTBEAT, 5)) is None
+        assert (parent.last_sequence, parent.beats) == (5, 2)
+        assert (child.last_sequence, child.beats) == (9, 3)

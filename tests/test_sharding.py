@@ -26,6 +26,7 @@ from repro.core.shard_verifier import ShardedVerifier, resolve_policy
 from repro.core.sharding import ShardMap, movement_fraction
 from repro.core.verifier import Verifier
 from repro.faults import FaultKind
+from repro.workloads import webserver
 
 _EMPTY = array("Q")
 
@@ -284,11 +285,51 @@ class TestRunProgramIdentity:
         assert [(v.pid, v.kind) for v in sharded.violations] == \
             [(v.pid, v.kind) for v in plain.violations]
 
+    def test_continue_mode_matches_single_verifier(self):
+        """Continue-after-violation over two shards: each violation is
+        acknowledged on the sender's shard and the run goes on exactly
+        as it does on one verifier."""
+        trace = webserver.exploit_trace(8)
+
+        def serve(shards):
+            return run_program(
+                webserver.build_server(max_requests=len(trace)),
+                channel="model", kill_on_violation=False, shards=shards,
+                pre_run=lambda image, interp: webserver.plant_trace(
+                    image, trace))
+
+        plain, sharded = serve(None), serve(2)
+        assert plain.violations
+        assert (sharded.outcome, sharded.exit_status, sharded.output,
+                sharded.messages_sent) == \
+            (plain.outcome, plain.exit_status, plain.output,
+             plain.messages_sent)
+        assert [(v.kind, v.detail) for v in sharded.violations] == \
+            [(v.kind, v.detail) for v in plain.violations]
+
     def test_shards_one_is_the_plain_verifier(self):
         factory, pre_run = chaos.WORKLOADS["webserver"]
         result = run_program(factory(), channel="model", pre_run=pre_run,
                              shards=1)
         assert result.ok
+
+
+class TestVerifierInterface:
+    """A ShardedVerifier stands in for a Verifier: the knobs set on it
+    read back, and reach every shard."""
+
+    def test_observer_and_gc_window_read_back(self):
+        from repro.obs.observer import Observer
+        sharded = ShardedVerifier(HQCFIPolicy, 2, ring_capacity_words=64)
+        try:
+            observer = Observer()
+            sharded.observer = observer
+            sharded.gc_epochs = 3
+            assert sharded.observer is observer
+            assert sharded.gc_epochs == 3
+            assert [e.verifier.gc_epochs for e in sharded.shards] == [3, 3]
+        finally:
+            sharded.close()
 
 
 # ---------------------------------------------------------------------------

@@ -362,6 +362,18 @@ class TestSpscRingChannel:
         finally:
             channel.close()
 
+    def test_pending_counts_in_flight_messages(self):
+        channel = create_channel("spsc", capacity=16)
+        try:
+            process = Process(name="spsc-pending")
+            for _ in range(3):
+                channel.send(process, Message(Op.EVENT, 1, 1))
+            assert channel.pending() == 3
+            channel.receive_words()
+            assert channel.pending() == 0
+        finally:
+            channel.close()
+
     def test_full_channel_fails_closed_without_drain_hook(self):
         channel = create_channel("spsc", capacity=4)
         try:

@@ -36,6 +36,21 @@ class TestRecordingChannel:
         assert channel.primitive == inner.primitive
         assert channel.append_only == inner.append_only
 
+    def test_resync_realigns_the_inner_counters(self):
+        """The verifier-restart path: in-flight messages are handed back
+        for killing their senders, and later traffic validates."""
+        channel = RecordingChannel(AppendWriteUArch())
+        process = Process()
+        channel.send(process, msg.pointer_define(1, 2))
+        channel.send(process, msg.pointer_check(1, 2))
+        assert channel.pending() == 2
+        assert [m.op for m in channel.resync()] == \
+            [msg.Op.POINTER_DEFINE, msg.Op.POINTER_CHECK]
+        assert channel.pending() == 0
+        channel.send(process, msg.pointer_check(1, 2))
+        assert len(channel.receive_all()) == 1
+        assert len(channel.trace) == 3
+
     def test_semantic_strips_transport_fields(self):
         a = msg.pointer_check(1, 2).with_transport(5, 10)
         b = msg.pointer_check(1, 2).with_transport(9, 99)

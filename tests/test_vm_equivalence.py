@@ -27,6 +27,7 @@ from repro.policies.taint import TaintPolicy
 from repro.policies.watchdog import WatchdogPolicy
 from repro.workloads.generator import build_module
 from repro.workloads.profiles import BenchmarkProfile
+from tests.test_attacks import use_tier
 
 POLICY_FACTORIES = {
     "hq-cfi": HQCFIPolicy,
@@ -131,8 +132,8 @@ def test_tiers_identical_under_channel_faults(kind):
 def test_tiers_identical_under_attack(attack, design, monkeypatch):
     """Hijack detection (and successful exploitation) is bit-identical:
     the return-address epilogue runs outside the VM on both tiers."""
-    monkeypatch.setenv("REPRO_INTERP_TIER", "closure")
+    use_tier(monkeypatch, "closure")
     closure = run_attack(attack, design)
-    monkeypatch.setenv("REPRO_INTERP_TIER", "vm")
+    use_tier(monkeypatch, "vm")
     vm = run_attack(attack, design)
     assert _snapshot(vm) == _snapshot(closure)
