@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.compiler import ir
-from repro.compiler.analysis import store_defines_function_pointer
+from repro.compiler.analysis import store_defines_function_pointer, uses_of
 from repro.compiler.passes.base import ModulePass
 from repro.compiler.types import I64, is_function_pointer
 from repro.sim.cpu import Runtime
@@ -94,11 +94,9 @@ class CPIPass(ModulePass):
     def _redirect_uses(self, function: ir.Function, load: ir.Load,
                        safe_load: ir.RuntimeCall) -> None:
         """Point indirect-call targets at the safe-store value."""
-        for instruction in function.instructions():
-            if instruction is safe_load:
-                continue
-            if isinstance(instruction, ir.ICall) and instruction.target is load:
-                instruction.target = safe_load
+        for user in uses_of(function, load):
+            if isinstance(user, ir.ICall) and user.target is load:
+                user.retarget(safe_load)
 
 
 class CPIRuntime(Runtime):

@@ -56,9 +56,13 @@ def is_function_pointer_value(value: ir.Value) -> bool:
 
 
 def uses_of(function: ir.Function, value: ir.Value) -> List[ir.Instruction]:
-    """All instructions in ``function`` using ``value`` as an operand."""
-    return [instruction for instruction in function.instructions()
-            if any(op is value for op in instruction.operands)]
+    """All instructions in ``function`` using ``value`` as an operand.
+
+    A lookup in the function's def-use index (:meth:`ir.Function.users`),
+    not a scan.  The order is the index's, not program order: callers
+    only ask whether some use of a given kind exists.
+    """
+    return function.users(value)
 
 
 def value_recast_to_function_pointer(function: ir.Function, value: ir.Value) -> bool:

@@ -11,6 +11,7 @@ and :mod:`repro.sim.cpu` interprets it against a simulated process.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -109,14 +110,27 @@ class Instruction(Value):
     def operands(self) -> List[Value]:
         return []
 
+    @contextlib.contextmanager
+    def _rewiring(self) -> Iterator[None]:
+        """Wrap an operand rewrite so the enclosing function's def-use
+        index (if built) moves this instruction between user lists."""
+        uses = self.block.function._uses if self.block is not None else None
+        if uses is None:
+            yield
+            return
+        _unlink(uses, self)
+        yield
+        _link(uses, self)
+
     def replace_operand(self, old: Value, new: Value) -> None:
         """Replace every use of ``old`` with ``new`` in this instruction."""
-        for attr, value in list(self.__dict__.items()):
-            if value is old:
-                setattr(self, attr, new)
-            elif isinstance(value, list):
-                setattr(self, attr,
-                        [new if item is old else item for item in value])
+        with self._rewiring():
+            for attr, value in list(self.__dict__.items()):
+                if value is old:
+                    setattr(self, attr, new)
+                elif isinstance(value, list):
+                    setattr(self, attr,
+                            [new if item is old else item for item in value])
 
 
 # -- memory ------------------------------------------------------------------
@@ -279,15 +293,17 @@ class Phi(Instruction):
         self.incoming: List[Tuple[Value, "BasicBlock"]] = []
 
     def add_incoming(self, value: Value, block: "BasicBlock") -> None:
-        self.incoming.append((value, block))
+        with self._rewiring():
+            self.incoming.append((value, block))
 
     @property
     def operands(self) -> List[Value]:
         return [value for value, _ in self.incoming]
 
     def replace_operand(self, old: Value, new: Value) -> None:
-        self.incoming = [(new if value is old else value, block)
-                         for value, block in self.incoming]
+        with self._rewiring():
+            self.incoming = [(new if value is old else value, block)
+                             for value, block in self.incoming]
 
 
 class Br(Instruction):
@@ -380,6 +396,12 @@ class ICall(Instruction):
     @property
     def operands(self) -> List[Value]:
         return [self.target] + list(self.args)
+
+    def retarget(self, target: Value) -> None:
+        """Call through ``target`` instead; unlike :meth:`replace_operand`,
+        an argument that is the old target keeps its value."""
+        with self._rewiring():
+            self.target = target
 
 
 class RuntimeCall(Instruction):
@@ -543,6 +565,28 @@ class Longjmp(Instruction):
         return []
 
 
+# -- def-use index -----------------------------------------------------------------
+
+def _link(uses: Dict[Value, Dict[Instruction, None]],
+          instruction: Instruction) -> None:
+    """Record ``instruction`` as a user of each of its operands."""
+    for operand in instruction.operands:
+        users = uses.get(operand)
+        if users is None:
+            uses[operand] = {instruction: None}
+        else:
+            users[instruction] = None
+
+
+def _unlink(uses: Dict[Value, Dict[Instruction, None]],
+            instruction: Instruction) -> None:
+    """Forget ``instruction`` as a user of each of its operands."""
+    for operand in instruction.operands:
+        users = uses.get(operand)
+        if users is not None:
+            users.pop(instruction, None)
+
+
 # -- containers --------------------------------------------------------------------
 
 class BasicBlock:
@@ -569,11 +613,15 @@ class BasicBlock:
             raise ValueError(f"block {self.name} already terminated")
         instruction.block = self
         self.instructions.append(instruction)
+        if self.function._uses is not None:
+            _link(self.function._uses, instruction)
         return instruction
 
     def insert(self, index: int, instruction: Instruction) -> Instruction:
         instruction.block = self
         self.instructions.insert(index, instruction)
+        if self.function._uses is not None:
+            _link(self.function._uses, instruction)
         return instruction
 
     def insert_before(self, anchor: Instruction, instruction: Instruction) -> Instruction:
@@ -585,6 +633,8 @@ class BasicBlock:
     def remove(self, instruction: Instruction) -> None:
         self.instructions.remove(instruction)
         instruction.block = None
+        if self.function._uses is not None:
+            _unlink(self.function._uses, instruction)
 
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)
@@ -614,6 +664,12 @@ class Function:
         self.from_library = False
         #: Explicitly address-taken (beyond uses visible in this module).
         self.address_taken = False
+        #: Def-use index: each value → the instructions using it (an
+        #: insertion-ordered dict used as a set).  Built by the first
+        #: :meth:`users` query, kept current by every mutation method
+        #: (block append/insert/remove, ``replace_operand``,
+        #: ``add_incoming``, ``retarget``), dropped by :meth:`drop_uses`.
+        self._uses: Optional[Dict[Value, Dict[Instruction, None]]] = None
 
     @property
     def entry(self) -> BasicBlock:
@@ -633,6 +689,20 @@ class Function:
     def instructions(self) -> Iterator[Instruction]:
         for block in self.blocks:
             yield from block.instructions
+
+    def users(self, value: Value) -> List[Instruction]:
+        """Instructions of this function that use ``value`` as an
+        operand, from the def-use index (built here on first use)."""
+        uses = self._uses
+        if uses is None:
+            uses = self._uses = {}
+            for instruction in self.instructions():
+                _link(uses, instruction)
+        return list(uses.get(value, ()))
+
+    def drop_uses(self) -> None:
+        """Forget the def-use index; the next :meth:`users` rebuilds it."""
+        self._uses = None
 
     def value_numbering(self) -> Dict[str, int]:
         """Stable local-value numbering: parameters first, then every

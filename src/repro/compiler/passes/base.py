@@ -35,10 +35,16 @@ class PassManager:
         self.passes = list(passes)
 
     def run(self, module: ir.Module) -> Dict[str, Dict[str, int]]:
-        """Run every pass in order; returns {pass name: stats}."""
+        """Run every pass in order; returns {pass name: stats}.
+
+        Each function's def-use index lives for one pass: it is dropped
+        after every pass, so no index outlives the pipeline.
+        """
         results: Dict[str, Dict[str, int]] = {}
         for pass_ in self.passes:
             pass_.run(module)
+            for function in module.functions.values():
+                function.drop_uses()
             module.verify()
             results[pass_.name] = dict(pass_.stats)
         return results

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Optional, Set
 
 from repro.compiler import ir
+from repro.compiler.analysis import uses_of
 from repro.compiler.passes.base import ModulePass
 
 
@@ -42,11 +43,10 @@ class DevirtualizationPass(ModulePass):
         if target is None:
             return
         call = ir.Call(target, icall.args, icall.name)
-        index = block.instructions.index(icall)
-        block.instructions[index] = call
-        call.block = block
+        block.insert_before(icall, call)
+        block.remove(icall)
         # Rewrite uses of the icall's result.
-        for user in module.all_instructions():
+        for user in uses_of(block.function, icall):
             user.replace_operand(icall, call)
         self.bump("calls-devirtualized")
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.compiler import ir
+from repro.compiler.analysis import uses_of
 from repro.compiler.passes.base import ModulePass
 
 #: Default ceiling on inlinable callee size, in instructions.
@@ -169,5 +170,5 @@ class InlinerPass(ModulePass):
         # Rewire uses of the call's result.
         replacement = (return_value if return_value is not None
                        else ir.Constant(0))
-        for user in function.instructions():
+        for user in uses_of(function, call):
             user.replace_operand(call, replacement)

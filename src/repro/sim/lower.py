@@ -32,7 +32,8 @@ the closure path forever (cached per ``(function, prot_epoch)``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+import hashlib
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.compiler import ir
 from repro.compiler.types import PointerType
@@ -94,6 +95,14 @@ _READS_23 = frozenset(_KERNEL_BINOP_SYM) | frozenset(_KERNEL_CMP_SYM) | \
     {vm.OP_SHL, vm.OP_SHR, vm.OP_DIV, vm.OP_REM}
 
 
+#: Process-wide kernel memo: 16-byte blake2b digest of a kernel's
+#: source text → its compiled function.  A kernel's globals hold only
+#: ``ProgramCrash`` (and the kernels compiled beside it); ``load``,
+#: ``store`` and ``fbin`` are parameters, so one kernel safely serves
+#: every function, interpreter and process that generates its text.
+_KERNELS: Dict[bytes, Callable] = {}
+
+
 class _Reject(Exception):
     """Internal: this function cannot be lowered exactly."""
 
@@ -131,7 +140,9 @@ class _Lowering:
         self.fixups: List[Tuple[int, ir.BasicBlock, ir.BasicBlock]] = []
         self.block_pc: Dict[int, int] = {}
         self.leading_phis: Dict[int, List[ir.Phi]] = {}
-        self.defined: Set[str] = set()
+        #: Bitmask over ``numbering`` indices of the values defined so
+        #: far on every path into the instruction being lowered.
+        self.defined = 0
 
     # -- pools ---------------------------------------------------------------
 
@@ -186,9 +197,10 @@ class _Lowering:
                 raise _Reject  # closure path crashes lazily on use
             return self._const_reg(value.address)
         if self._is_local(value):
-            if check_defined and value.name not in self.defined:
+            reg = self.numbering[value.name]
+            if check_defined and not self.defined >> reg & 1:
                 raise _Reject  # cannot prove defined on this path
-            return self.numbering[value.name]
+            return reg
         raise _Reject  # foreign or unevaluable operand
 
     # -- analysis ------------------------------------------------------------
@@ -210,35 +222,40 @@ class _Lowering:
                 if type(instruction) not in supported:
                     raise _Reject
 
-    def _flow(self) -> Dict[int, Set[str]]:
-        """Definedness dataflow: names assigned on *every* path to each
-        block's entry.  Params and all alloca slots are defined at frame
-        setup (both tiers assign them up front)."""
+    def _flow(self) -> Dict[int, int]:
+        """Definedness dataflow: the values assigned on *every* path to
+        each block's entry, as bitmasks over ``numbering`` indices.
+        Params and all alloca slots are defined at frame setup (both
+        tiers assign them up front)."""
         function = self.function
-        base = {param.name for param in function.params}
-        for instruction in function.instructions():
-            if type(instruction) is ir.Alloca:
-                base.add(instruction.name)
+        numbering = self.numbering
+        base = 0
+        for param in function.params:
+            base |= 1 << numbering[param.name]
 
-        defs: Dict[int, Set[str]] = {}
+        defs: Dict[int, int] = {}
+        phi_defs: Dict[int, int] = {}
         for block in function.blocks:
-            names = {phi.name for phi in self.leading_phis[id(block)]}
+            mask = 0
+            for phi in self.leading_phis[id(block)]:
+                mask |= 1 << numbering[phi.name]
+            phi_defs[id(block)] = mask
             for instruction in block.instructions:
-                if isinstance(instruction, _DEFINING) and \
-                        type(instruction) is not ir.Phi:
-                    names.add(instruction.name)
-            defs[id(block)] = names
+                if isinstance(instruction, _DEFINING):
+                    bit = 1 << numbering[instruction.name]
+                    mask |= bit
+                    if type(instruction) is ir.Alloca:
+                        base |= bit
+            defs[id(block)] = mask
 
-        preds: Dict[int, List[ir.BasicBlock]] = \
-            {id(block): [] for block in function.blocks}
+        preds: Dict[int, List[int]] = {id(block): [] for block in function.blocks}
         for block in function.blocks:
             for successor in block.successors:
-                preds[id(successor)].append(block)
+                preds[id(successor)].append(id(block))
 
-        universe = set(self.numbering) | base
-        ins: Dict[int, Set[str]] = \
-            {id(block): set(universe) for block in function.blocks}
-        ins[id(function.entry)] = set(base)
+        universe = (1 << self.n_dyn) - 1
+        ins: Dict[int, int] = {id(block): universe for block in function.blocks}
+        ins[id(function.entry)] = base
         changed = True
         while changed:
             changed = False
@@ -248,14 +265,15 @@ class _Lowering:
                 block_preds = preds[id(block)]
                 if not block_preds:
                     continue  # unreachable: stays at universe
-                new = set(universe)
+                new = universe
                 for pred in block_preds:
-                    new &= ins[id(pred)] | defs[id(pred)]
+                    new &= ins[pred] | defs[pred]
                 if new != ins[id(block)]:
                     ins[id(block)] = new
                     changed = True
         self._ins = ins
         self._defs = defs
+        self._phi_defs = phi_defs
         return ins
 
     # -- emission ------------------------------------------------------------
@@ -295,8 +313,7 @@ class _Lowering:
 
     def _emit_block(self, block: ir.BasicBlock) -> None:
         code = self.code
-        self.defined = set(self._ins[id(block)]) | \
-            {phi.name for phi in self.leading_phis[id(block)]}
+        self.defined = self._ins[id(block)] | self._phi_defs[id(block)]
 
         obs_index = -1
         if self.observed:
@@ -355,7 +372,7 @@ class _Lowering:
                 body, cost = self._lower_fusable(instruction)
                 pending.append((body, cost, instruction))
                 if isinstance(instruction, _DEFINING):
-                    self.defined.add(instruction.name)
+                    self.defined |= 1 << self.numbering[instruction.name]
                 continue
             flush()
             entries += 1
@@ -381,7 +398,7 @@ class _Lowering:
             else:
                 self._emit_escape(instruction)
                 if isinstance(instruction, _ESCAPE_DEFINES):
-                    self.defined.add(instruction.name)
+                    self.defined |= 1 << self.numbering[instruction.name]
         flush()
         if block.terminator is None:
             # The closure tier raises this lazily when a malformed block
@@ -485,10 +502,11 @@ class _Lowering:
             name = operand.name
             if name in seen:
                 continue
-            if name not in self.defined:
+            reg = self.numbering[name]
+            if not self.defined >> reg & 1:
                 raise _Reject
             seen.add(name)
-            pairs.append((name, self.numbering[name]))
+            pairs.append((name, reg))
         if isinstance(instruction, _ESCAPE_DEFINES):
             result_name: Optional[str] = instruction.name
             result_reg = self.numbering[instruction.name]
@@ -521,9 +539,9 @@ class _Lowering:
                 for value, pred in phi.incoming:
                     if pred is source:
                         if self._is_local(value):
-                            if value.name not in defined_at_exit:
-                                raise _Reject
                             source_reg = self.numbering[value.name]
+                            if not defined_at_exit >> source_reg & 1:
+                                raise _Reject
                         else:
                             source_reg = self._reg(value,
                                                    check_defined=False)
@@ -549,8 +567,9 @@ class _Lowering:
     # OP_STEPN header has already counted every step, charged the whole
     # in-order cycle sum, and fired any due on_step hooks before the
     # first body op runs — on both tiers.  That leaves pure dataflow,
-    # which we compile once per group into a real Python function over
-    # local variables (registers read at entry, written back at exit),
+    # which we generate per group as a real Python function over local
+    # variables (registers read at entry, written back at exit) and
+    # compile once per distinct text per process (``_KERNELS``),
     # cutting per-op dispatch from ~6 list indexings to ~3 bytecodes.
     # Constant-pool operands are inlined as literals; registers never
     # read outside the kernel skip the write-back.  Partially updated
@@ -698,28 +717,38 @@ class _Lowering:
                 reads.add(reg)
         return reads
 
-    def _compile_kernels(self) -> List:
-        """Generate and compile every kernel superinstruction for this
-        function in one module (called after branch fixups, when all
-        register reads are final)."""
+    def _compile_kernels(self) -> List[Callable]:
+        """Generate every kernel superinstruction for this function and
+        compile, in one module, those the process-wide memo has not seen
+        (called after branch fixups, when all register reads are final).
+        """
         if not self.kernel_bodies:
             return []
         specs = [self._kernel_spec(bodies) for bodies in self.kernel_bodies]
         live = self._regs_read_outside_kernels()
         for _, entry, _ in specs:
             live.update(entry)
-        lines: List[str] = []
-        for index, (stmts, entry, written) in enumerate(specs):
-            lines.append(f"def _k{index}(regs, load, store, fbin):")
-            for reg in entry:
-                lines.append(f"    r{reg} = regs[{reg}]")
+        keys: List[bytes] = []
+        fresh: Dict[bytes, str] = {}
+        for stmts, entry, written in specs:
+            lines = [f"    r{reg} = regs[{reg}]" for reg in entry]
             lines.extend(stmts)
-            for reg in written:
-                if reg in live:
-                    lines.append(f"    regs[{reg}] = r{reg}")
-            lines.append("")
-        namespace = {"ProgramCrash": vm.ProgramCrash}
-        exec(compile("\n".join(lines),
-                     f"<vm-kernels:{self.function.name}>", "exec"),
-             namespace)
-        return [namespace[f"_k{index}"] for index in range(len(specs))]
+            lines.extend(f"    regs[{reg}] = r{reg}"
+                         for reg in written if reg in live)
+            body = "\n".join(lines)
+            key = hashlib.blake2b(body.encode(), digest_size=16).digest()
+            keys.append(key)
+            if key not in _KERNELS:
+                fresh[key] = body
+        if fresh:
+            # Process-wide serial names: a kernel serves every function
+            # whose lowering generates its text.
+            first = len(_KERNELS)
+            source = "\n".join(
+                f"def _k{first + offset}(regs, load, store, fbin):\n{body}\n"
+                for offset, body in enumerate(fresh.values()))
+            namespace = {"ProgramCrash": vm.ProgramCrash}
+            exec(compile(source, "<vm-kernels>", "exec"), namespace)
+            for offset, key in enumerate(fresh):
+                _KERNELS[key] = namespace[f"_k{first + offset}"]
+        return [_KERNELS[key] for key in keys]
