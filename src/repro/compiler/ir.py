@@ -101,6 +101,11 @@ class Instruction(Value):
 
     def __init__(self, type_: Type = VOID, name: str = "") -> None:
         self.type = type_
+        #: An unnamed instruction gets a process-unique name now and
+        #: its function's next serial number when a block first places
+        #: it (:meth:`Function.number`), so a function's IR reads the
+        #: same however many functions were built before it.
+        self.auto_named = not name
         self.name = name or f"v{next(Instruction._ids)}"
         self.block: Optional["BasicBlock"] = None
         #: Free-form annotations used by passes (e.g. elision marks).
@@ -611,6 +616,8 @@ class BasicBlock:
     def append(self, instruction: Instruction) -> Instruction:
         if self.terminator is not None:
             raise ValueError(f"block {self.name} already terminated")
+        if instruction.auto_named:
+            self.function.number(instruction)
         instruction.block = self
         self.instructions.append(instruction)
         if self.function._uses is not None:
@@ -618,6 +625,8 @@ class BasicBlock:
         return instruction
 
     def insert(self, index: int, instruction: Instruction) -> Instruction:
+        if instruction.auto_named:
+            self.function.number(instruction)
         instruction.block = self
         self.instructions.insert(index, instruction)
         if self.function._uses is not None:
@@ -670,6 +679,8 @@ class Function:
         #: (block append/insert/remove, ``replace_operand``,
         #: ``add_incoming``, ``retarget``), dropped by :meth:`drop_uses`.
         self._uses: Optional[Dict[Value, Dict[Instruction, None]]] = None
+        #: Serial numbers handed out by :meth:`number`.
+        self._numbered = 0
 
     @property
     def entry(self) -> BasicBlock:
@@ -689,6 +700,15 @@ class Function:
     def instructions(self) -> Iterator[Instruction]:
         for block in self.blocks:
             yield from block.instructions
+
+    def number(self, instruction: Instruction) -> None:
+        """Name an unnamed instruction by this function's next serial
+        number, printed ``%0``, ``%1``, ... as LLVM prints unnamed
+        values.  Explicit names are never all digits, so the two
+        cannot collide."""
+        instruction.name = str(self._numbered)
+        instruction.auto_named = False
+        self._numbered += 1
 
     def users(self, value: Value) -> List[Instruction]:
         """Instructions of this function that use ``value`` as an

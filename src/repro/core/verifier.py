@@ -57,7 +57,10 @@ class Verifier:
         #: dispatched, oldest first; ``_offset`` is the read position in
         #: the first.  Only a :meth:`poll` with a processing limit
         #: (a slow verifier under backpressure) leaves anything here.
+        #: ``_backlog_words`` is the total length of the queued batches,
+        #: kept current wherever a batch joins or leaves the queue.
         self._backlog: Deque[array] = deque()
+        self._backlog_words = 0
         self._offset = 0
         #: Times :meth:`restart` recovered this verifier after a crash.
         self.restarts = 0
@@ -223,6 +226,7 @@ class Verifier:
                 # or not — so IPC batch metrics are emitted here.
                 obs.ipc_batch(len(words) // MESSAGE_WORDS)
             self._backlog.append(words)
+            self._backlog_words += len(words)
             processed += self._drain(None if max_messages is None
                                      else max_messages - processed)
         if obs is not None:
@@ -246,14 +250,14 @@ class Verifier:
             if start < stop or start == len(words):
                 # Abandoned as corrupt, or fully dispatched.
                 backlog.popleft()
+                self._backlog_words -= len(words)
                 start = 0
             self._offset = start
         return processed
 
     def backlog_size(self) -> int:
         """Messages received but not yet dispatched (backpressure)."""
-        return (sum(map(len, self._backlog)) - self._offset) \
-            // MESSAGE_WORDS
+        return (self._backlog_words - self._offset) // MESSAGE_WORDS
 
     def _integrity_violation(self, detail: str) -> None:
         """Transport integrity failure: violation for every live pid."""
@@ -444,6 +448,11 @@ class Verifier:
         without perturbing the token count."""
         return self._syscall_tokens.get(pid, 0) > 0
 
+    def shard_down_for(self, pid: int) -> bool:
+        """One verifier has no shards to lose: never (the sharded
+        runtime's answer is per pid, see ``ShardedVerifier``)."""
+        return False
+
     # -- reporting -----------------------------------------------------------------------
 
     def all_violations(self, pid: int) -> List[Violation]:
@@ -499,6 +508,7 @@ class Verifier:
             lost.update(w0 >> 32 for w0 in words[start::MESSAGE_WORDS])
             start = 0
         self._backlog.clear()
+        self._backlog_words = 0
         self._offset = 0
         self.terminated = False
         self.restarts += 1

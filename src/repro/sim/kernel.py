@@ -44,8 +44,9 @@ def shard_scoped_kill(verifier, pid: int) -> bool:
     """Should the barrier kill ``pid`` because its verifier shard died?
 
     The single decision point for scoped shard-death kills: true iff
-    the liaison is sharded (exposes ``shard_down_for``) and reports
-    this pid's shard down.  The barrier consults it below, and the
+    the verifier exposes ``shard_down_for`` and reports this pid's
+    shard down (a single :class:`~repro.core.verifier.Verifier` always
+    answers no).  The barrier consults it below, and the
     model-checking layer's conformance check
     (:func:`repro.mc.shard_model.conformance_check`) drives the same
     function against the abstract lifecycle model — so the decision
@@ -147,12 +148,24 @@ class HQContext:
 class HQKernelModule:
     """The ``hq.ko`` model: syscall interception + verifier liaison.
 
-    ``verifier`` is duck-typed: it must provide ``poll()`` (drain and
-    process pending messages), ``has_violation(pid)`` and
-    ``consume_syscall_token(pid)`` (true if a SYSCALL message from
-    ``pid`` has been processed since the last consumption).  The
-    kernel↔verifier link is the privileged channel of Figure 1 and is
-    not reachable from monitored programs.
+    ``verifier`` is a :class:`~repro.core.verifier.Verifier`, a
+    :class:`~repro.core.shard_verifier.ShardedVerifier`, or either
+    wrapped in a :class:`~repro.faults.verifier.FaultyVerifier`.  The
+    module calls this surface of it and nothing else:
+
+    * the barrier: ``poll(max_messages)``, ``terminated``,
+      ``has_violation(pid)``, ``acknowledge_violation(pid)`` and
+      ``consume_syscall_token(pid)`` (true if a SYSCALL message from
+      ``pid`` has been processed since the last consumption);
+    * load and shard state: ``backlog_size()``, ``channels`` and
+      ``shard_down_for(pid)``;
+    * process events: ``register_process``, ``fork_process``,
+      ``unregister_process``, and ``restart(live_pids)`` after a crash;
+    * optionally ``maybe_restart(module)``, a restart policy of the
+      verifier's own that replaces ``restart_budget``.
+
+    The kernel↔verifier link is the privileged channel of Figure 1 and
+    is not reachable from monitored programs.
     """
 
     #: Verifier polls allowed before the epoch expires and the program
@@ -173,9 +186,20 @@ class HQKernelModule:
     def __init__(self, verifier=None, epoch_polls: int = DEFAULT_EPOCH_POLLS,
                  kill_on_violation: bool = True,
                  sync_exempt_syscalls: Optional[Set[int]] = None,
-                 force_round_trip: bool = False) -> None:
+                 force_round_trip: bool = False,
+                 poll_budget: Optional[int] = None,
+                 restart_budget: int = 0) -> None:
         self.verifier = verifier
         self.epoch_polls = epoch_polls
+        #: Messages each barrier poll may dispatch; ``None`` dispatches
+        #: everything received (a verifier that keeps up).  A bound
+        #: models a slow verifier: tokens surface late, and the epoch
+        #: budget decides how late is too late.
+        self.poll_budget = poll_budget
+        #: Verifier restarts this module may still perform after a
+        #: crash (section 3.4); each one condemns the pids whose
+        #: in-flight messages were lost.  0 kills on verifier death.
+        self.restart_budget = restart_budget
         self.kill_on_violation = kill_on_violation
         #: Ablation: the naive design of section 2.2 — a kernel↔verifier
         #: round trip on *every* system call, instead of pipelining the
@@ -210,7 +234,7 @@ class HQKernelModule:
         if verifier is None:
             return 0
         load = verifier.backlog_size()
-        for channel in getattr(verifier, "channels", ()):
+        for channel in verifier.channels:
             load += channel.pending()
         return load
 
@@ -292,7 +316,7 @@ class HQKernelModule:
             # reporting a misleading timeout.
             if self.verifier.terminated:
                 self._verifier_down(process, context, number)
-            self.verifier.poll()
+            self.verifier.poll(self.poll_budget)
             if self.verifier.terminated:
                 self._verifier_down(process, context, number)
             if shard_scoped_kill(self.verifier, process.pid):
@@ -346,15 +370,22 @@ class HQKernelModule:
                        number: int) -> None:
         """The verifier terminated unexpectedly (section 3.4).
 
-        If the verifier implementation offers a restart path
-        (``maybe_restart``, duck-typed like the rest of the liaison
-        interface), give it one chance to come back — the restart
+        A replacement verifier is brought up if the verifier's own
+        restart policy (``maybe_restart``) grants one or, without such a
+        policy, while ``restart_budget`` lasts; the restart
         conservatively kills pids whose messages were lost.  Otherwise
         the monitored program dies: a missing verifier must never mean
         unchecked execution.
         """
-        restart = getattr(self.verifier, "maybe_restart", None)
-        if restart is not None and restart(self):
+        maybe_restart = getattr(self.verifier, "maybe_restart", None)
+        if maybe_restart is not None:
+            restarted = maybe_restart(self)
+        else:
+            restarted = self.restart_budget > 0
+            if restarted:
+                self.restart_budget -= 1
+                self.verifier.restart(sorted(self.contexts))
+        if restarted:
             self.verifier_restarts += 1
             if self.observer is not None:
                 self.observer.kernel_verifier_restart()

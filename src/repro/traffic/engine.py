@@ -74,52 +74,6 @@ class _SessionInterp:
         self.call_stack: list = []
 
 
-class _TrafficLiaison:
-    """Engine-side verifier wrapper: bounded polls + restart budget.
-
-    ``poll_budget`` caps messages dispatched per poll — the
-    slow-verifier model that makes validation lag (and therefore the
-    admission watermarks) real under sustained traffic.  An unbudgeted
-    drain is still available via :meth:`flush` for end-of-run cleanup.
-
-    ``maybe_restart`` gives the kernel module the section 3.4 recovery
-    path after an injected verifier crash: up to ``restart_budget``
-    replacement bring-ups, each conservatively condemning pids whose
-    in-flight messages were lost.  Only pids the kernel still tracks
-    are re-registered — the pid-churn guarantee of
-    :meth:`Verifier.restart` is exercised, not bypassed.
-    """
-
-    def __init__(self, inner, poll_budget: Optional[int] = None,
-                 restart_budget: int = 2) -> None:
-        self._inner = inner
-        self.poll_budget = poll_budget
-        self.restarts_left = restart_budget
-
-    def poll(self, max_messages: Optional[int] = None) -> int:
-        budget = self.poll_budget if max_messages is None else max_messages
-        return self._inner.poll(budget)
-
-    def flush(self) -> int:
-        """Unbudgeted drain: dispatch everything still queued."""
-        total = 0
-        while True:
-            processed = self._inner.poll(None)
-            if not processed:
-                return total
-            total += processed
-
-    def maybe_restart(self, kernel_module) -> bool:
-        if self.restarts_left <= 0:
-            return False
-        self.restarts_left -= 1
-        self._inner.restart(sorted(kernel_module.contexts))
-        return True
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
 @dataclass
 class TrafficConfig:
     """Knobs for one traffic run (defaults = the CI soak shape)."""
@@ -208,22 +162,26 @@ class TrafficEngine:
 
         if config.shards is not None and config.shards > 1:
             from repro.core.shard_verifier import ShardedVerifier
-            inner = ShardedVerifier(HQCFIPolicy, config.shards)
+            verifier = ShardedVerifier(HQCFIPolicy, config.shards)
         else:
-            inner = Verifier(HQCFIPolicy)
-        inner.observer = self.observer
-        inner.gc_epochs = config.gc_epochs
-        self._inner = inner
-        self.liaison = _TrafficLiaison(inner, config.poll_budget,
-                                       config.restart_budget)
+            verifier = Verifier(HQCFIPolicy)
+        verifier.observer = self.observer
+        verifier.gc_epochs = config.gc_epochs
+        self.verifier = verifier
         self.channel = create_channel(config.channel,
                                       capacity=config.channel_capacity)
         self.channel.observer = self.observer
-        self.channel._on_full = lambda ch: self.liaison.poll()
-        inner.attach_channel(self.channel)
+        self.channel._on_full = lambda ch: self._poll()
+        verifier.attach_channel(self.channel)
 
-        self.hq = HQKernelModule(self.liaison,
-                                 epoch_polls=config.epoch_polls)
+        # The kernel module polls at barriers and notices verifier
+        # death, so it owns both budgets: bounded polls are the
+        # slow-verifier model that makes validation lag (and the
+        # admission watermarks) real, and each restart after an
+        # injected crash condemns the pids whose messages were lost.
+        self.hq = HQKernelModule(verifier, epoch_polls=config.epoch_polls,
+                                 poll_budget=config.poll_budget,
+                                 restart_budget=config.restart_budget)
         self.hq.observer = self.observer
         self.hq.admission = AdmissionController(
             defer_watermark=config.defer_watermark,
@@ -277,10 +235,16 @@ class TrafficEngine:
             self.counts["attacks_offered"] += 1
         return session
 
+    def _poll(self) -> int:
+        """One verifier time slice at the kernel module's poll budget:
+        the tick's drain, a runtime's channel-full retry, or a full
+        channel making room."""
+        return self.verifier.poll(self.hq.poll_budget)
+
     def _make_runtime(self, process: Process) -> HQRuntime:
         runtime = HQRuntime(self.channel)
         runtime.interpreter = _SessionInterp(process)
-        runtime.drain_hook = self.liaison.poll
+        runtime.drain_hook = self._poll
         runtime.on_fail_closed = self.hq.record_fail_closed
         return runtime
 
@@ -390,9 +354,9 @@ class TrafficEngine:
         kind = event[0]
         kernel = self.kernel
         process = session.process
-        saved_budget = self.liaison.poll_budget
+        saved_budget = self.hq.poll_budget
         if not last_chance:
-            self.liaison.poll_budget = 0
+            self.hq.poll_budget = 0
         try:
             if kind == "syscall":
                 number, arg = event[1], event[2]
@@ -410,7 +374,7 @@ class TrafficEngine:
         except ProcessKilledError as error:
             self._finish(session, "killed", error.reason)
         finally:
-            self.liaison.poll_budget = saved_budget
+            self.hq.poll_budget = saved_budget
 
     def _spawn_worker(self, child_pid: int) -> None:
         child = self.kernel.processes[child_pid]
@@ -427,12 +391,12 @@ class TrafficEngine:
     def _inject(self, kind: str) -> None:
         self._faults_fired.append(f"{self.tick}:{kind}")
         if kind == "verifier-crash":
-            self._inner.terminate()
+            self.verifier.terminate()
         elif kind == "shard-crash":
-            crash = getattr(self._inner, "crash_shard", None)
+            crash = getattr(self.verifier, "crash_shard", None)
             if crash is not None:
                 crash(self.rng.randrange(
-                    max(1, len(getattr(self._inner, "shards", [1])))))
+                    max(1, len(getattr(self.verifier, "shards", [1])))))
         elif kind == "channel-corrupt":
             # An opcode the wire codec does not know: the verifier must
             # treat the stream as corrupt and fail closed on every live
@@ -451,6 +415,7 @@ class TrafficEngine:
 
     def _run_loop(self) -> Dict[str, object]:
         config = self.config
+        verifier = self.verifier
         phase_schedule: List[Phase] = []
         for phase in self.phases:
             phase_schedule.extend([phase] * phase.ticks)
@@ -493,21 +458,21 @@ class TrafficEngine:
                 self._admit(self._new_session(phase), 0)
 
             # This tick's validation capacity: one budgeted drain.
-            self.liaison.poll()
+            self._poll()
 
             # Barrier resolution: blocked sessions resume once the
             # drain has reached their token; a pending violation, a
             # dead shard, or a dead verifier also wakes them — the
             # kernel barrier re-runs its fail-closed checks either way.
-            verifier_down = bool(self._inner.terminated)
+            verifier_down = bool(verifier.terminated)
             for session in list(self.active):
                 if session.outcome is not None or session.barrier is None:
                     continue
                 pid = session.process.pid
                 if (verifier_down
-                        or self._inner.has_syscall_token(pid)
-                        or self._inner.has_violation(pid)
-                        or shard_scoped_kill(self._inner, pid)):
+                        or verifier.has_syscall_token(pid)
+                        or verifier.has_violation(pid)
+                        or shard_scoped_kill(verifier, pid)):
                     self._complete_barrier(session,
                                            last_chance=verifier_down)
                 else:
@@ -520,13 +485,13 @@ class TrafficEngine:
 
             if len(self.active) > self.peak_active:
                 self.peak_active = len(self.active)
-            table = self._inner.pid_table_size()
+            table = verifier.pid_table_size()
             if table > self.peak_pid_table:
                 self.peak_pid_table = table
             if self.observer is not None:
                 self.observer.pid_table(table)
             if self.tick % config.gc_interval == 0:
-                self._inner.advance_epoch()
+                verifier.advance_epoch()
 
             if (not self.active and not self.deferred
                     and self.offered >= config.sessions
@@ -542,7 +507,8 @@ class TrafficEngine:
 
         # End of run: unbudgeted drain, then enough GC epochs to
         # reclaim every exited pid's surviving state.
-        self.liaison.flush()
+        while verifier.poll():
+            pass
         for session in list(self.active):
             if session.outcome is None and session.barrier is not None:
                 # The flush surfaced every token: resolve the barrier
@@ -555,7 +521,7 @@ class TrafficEngine:
                 self._finish(session, "killed", "traffic-duration-cap")
         self.active = []
         for _ in range(self.config.gc_epochs + 1):
-            self._inner.advance_epoch()
+            verifier.advance_epoch()
         return self._report(hit_cap)
 
     # -- reporting -----------------------------------------------------------
@@ -616,14 +582,14 @@ class TrafficEngine:
                 "peak_active_sessions": self.peak_active,
             },
             "gc": {
-                "reclaimed_pids": self._inner.reclaimed_pids,
-                "reclaimed_messages": self._inner.reclaimed_messages,
-                "reclaimed_violations": self._inner.reclaimed_violations,
+                "reclaimed_pids": self.verifier.reclaimed_pids,
+                "reclaimed_messages": self.verifier.reclaimed_messages,
+                "reclaimed_violations": self.verifier.reclaimed_violations,
                 "peak_pid_table": self.peak_pid_table,
-                "final_pid_table": self._inner.pid_table_size(),
+                "final_pid_table": self.verifier.pid_table_size(),
             },
             "leaks": {
-                "pid_entries": self._inner.pid_table_size(),
+                "pid_entries": self.verifier.pid_table_size(),
                 "kernel_processes": len(self.kernel.processes),
             },
         }
@@ -639,7 +605,7 @@ class TrafficEngine:
             return
         self._closed = True
         self.channel.close()
-        close = getattr(self._inner, "close", None)
+        close = getattr(self.verifier, "close", None)
         if close is not None:
             close()
 

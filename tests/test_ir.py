@@ -3,8 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cfi.designs import get_design
 from repro.compiler import ir
 from repro.compiler.builder import IRBuilder
+from repro.compiler.passes.base import PassManager
+from repro.compiler.printer import format_module
 from repro.compiler.types import (ArrayType,
                                   F64,
                                   I64,
@@ -16,6 +19,8 @@ from repro.compiler.types import (ArrayType,
                                   is_vtable_pointer,
                                   pointer_slot_offsets,
                                   ptr)
+from repro.workloads.generator import build_module
+from repro.workloads.profiles import get_profile
 
 
 class TestTypes:
@@ -246,3 +251,54 @@ def test_struct_pointer_slots_match_layout(field_count, fp_positions):
     assert pointer_slot_offsets(record) == expected
     assert contains_function_pointer(record) == bool(
         fp_positions & set(range(field_count)))
+
+
+class TestAutoNames:
+    """Unnamed instructions are numbered per function when first placed."""
+
+    def test_same_pair_compiles_identically_twice(self):
+        def compile_once():
+            module = build_module(get_profile("403.gcc"))
+            PassManager(get_design("hq-sfestk").passes()).run(module)
+            return format_module(module)
+
+        first = compile_once()
+        assert compile_once() == first
+
+    def test_auto_names_never_collide_with_explicit_v_names(self):
+        module = ir.Module()
+        f = module.add_function("f", func(I64, [I64]))
+        b = IRBuilder(f.add_block("entry"))
+        x = b.add(f.params[0], b.const(1))
+        v1 = b.add(x, b.const(2), "v1")
+        y = b.add(v1, b.const(3))
+        v2 = b.add(y, b.const(4), "v2")
+        b.ret(b.add(v2, x))
+        names = [instruction.name for instruction in f.instructions()
+                 if instruction.type is not VOID]
+        assert len(set(names)) == len(names) == 5
+        assert [x.name, y.name] == ["0", "1"]
+        assert len(f.value_numbering()) == 1 + len(f.entry.instructions)
+
+    def test_numbering_is_per_function(self):
+        module = ir.Module()
+        names = []
+        for function_name in ("f", "g"):
+            f = module.add_function(function_name, func(I64, [I64]))
+            b = IRBuilder(f.add_block("entry"))
+            names.append(b.add(f.params[0], b.const(1)).name)
+        assert names == ["0", "0"]
+
+    def test_moved_instruction_keeps_its_name(self):
+        module = ir.Module()
+        f = module.add_function("f", func(I64, [I64]))
+        b = IRBuilder(f.add_block("entry"))
+        first = b.add(f.params[0], b.const(1))
+        second = b.add(first, b.const(2))
+        b.ret(second)
+        f.entry.remove(second)
+        f.entry.insert(1, second)
+        assert [first.name, second.name] == ["0", "1"]
+        fresh = f.entry.insert(0, ir.BinOp("mul", f.params[0],
+                                           ir.Constant(3)))
+        assert fresh.name == "3"  # "2" went to the ret
