@@ -153,10 +153,11 @@ class HQKernelModule:
     wrapped in a :class:`~repro.faults.verifier.FaultyVerifier`.  The
     module calls this surface of it and nothing else:
 
-    * the barrier: ``poll(max_messages)``, ``terminated``,
-      ``has_violation(pid)``, ``acknowledge_violation(pid)`` and
-      ``consume_syscall_token(pid)`` (true if a SYSCALL message from
-      ``pid`` has been processed since the last consumption);
+    * the barrier: ``poll(max_messages)`` (skipped while
+      ``poll_budget`` is 0), ``terminated``, ``has_violation(pid)``,
+      ``acknowledge_violation(pid)`` and ``consume_syscall_token(pid)``
+      (true if a SYSCALL message from ``pid`` has been processed since
+      the last consumption);
     * load and shard state: ``backlog_size()``, ``channels`` and
       ``shard_down_for(pid)``;
     * process events: ``register_process``, ``fork_process``,
@@ -194,7 +195,9 @@ class HQKernelModule:
         #: Messages each barrier poll may dispatch; ``None`` dispatches
         #: everything received (a verifier that keeps up).  A bound
         #: models a slow verifier: tokens surface late, and the epoch
-        #: budget decides how late is too late.
+        #: budget decides how late is too late.  0 means the barrier
+        #: does not poll at all: its checks read only what earlier
+        #: polls produced.
         self.poll_budget = poll_budget
         #: Verifier restarts this module may still perform after a
         #: crash (section 3.4); each one condemns the pids whose
@@ -309,6 +312,7 @@ class HQKernelModule:
             process.cycles.charge_wait(ns_to_cycles(self.ROUND_TRIP_NS))
 
         exempt = number in self.sync_exempt_syscalls
+        budget = self.poll_budget
         for attempt in range(self._epoch_budget() + 1):
             # A dead verifier can never confirm anything: detect it
             # before *and* after the poll (the poll itself may observe
@@ -316,9 +320,12 @@ class HQKernelModule:
             # reporting a misleading timeout.
             if self.verifier.terminated:
                 self._verifier_down(process, context, number)
-            self.verifier.poll(self.poll_budget)
-            if self.verifier.terminated:
-                self._verifier_down(process, context, number)
+            if budget != 0:
+                # A zero budget grants the verifier no time slice: the
+                # checks below read what earlier slices produced.
+                self.verifier.poll(budget)
+                if self.verifier.terminated:
+                    self._verifier_down(process, context, number)
             if shard_scoped_kill(self.verifier, process.pid):
                 # Sharded runtime: *this pid's* verifier shard died.  The
                 # kill is scoped — pids on surviving shards keep running —
@@ -432,7 +439,6 @@ class Kernel:
         self.stdout: Dict[int, List[int]] = {}
         #: Pids that executed the attack-marker syscall uninterrupted.
         self.win_executed: Set[int] = set()
-        self.forks: List[int] = []
 
     def attach(self, process: Process) -> None:
         self.processes[process.pid] = process
@@ -480,7 +486,6 @@ class Kernel:
         if number == SYS_FORK:
             child = Process(name=f"{process.name}-child")
             self.attach(child)
-            self.forks.append(child.pid)
             if self.hq is not None:
                 self.hq.on_fork(process.pid, child.pid)
             return child.pid

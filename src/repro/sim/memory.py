@@ -81,9 +81,15 @@ def align_word(address: int) -> int:
     return address - (address % WORD_SIZE)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Mapping:
-    """A contiguous virtual mapping, as created by ``mmap``/``brk``."""
+    """A contiguous virtual mapping, as created by ``mmap``/``brk``.
+
+    Immutable, so one mapping can sit in many memories' mapping lists
+    (every process shares its segment layout);
+    :meth:`Memory.protect_region` changes page protections, never a
+    mapping.
+    """
 
     start: int
     size: int
@@ -112,17 +118,20 @@ class Memory:
     :meth:`unmap_region` evicts.  Unmapped pages are never cached.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, layout: Sequence[Mapping] = ()) -> None:
+        """``layout`` seeds the mapping list, as if each mapping had
+        been passed to :meth:`map_region` in order; it must come from
+        :meth:`mappings` of a memory that validated it."""
         self._words: Dict[int, int] = {}
         #: Per-page protection cache: holds only pages of live mappings,
         #: filled by :meth:`_prot` and written by :meth:`protect_region`.
         self._page_prot: Dict[int, int] = {}
-        self._mappings: List[Mapping] = []
+        self._mappings: List[Mapping] = list(layout)
         #: Bumped on every protection change (map/unmap/mprotect), never
         #: on a cache fill, so callers that pre-validated a page range —
         #: the AppendWrite datapath — know when their validation went
         #: stale.
-        self.prot_epoch = 0
+        self.prot_epoch = len(self._mappings)
 
     # -- mapping management -------------------------------------------------
 

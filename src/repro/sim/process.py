@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.sim.cycles import CycleAccount
 from repro.sim.memory import (
+    Mapping,
     Memory,
     PAGE_SIZE,
     PROT_EXEC,
@@ -45,6 +46,30 @@ SEGMENT_SIZES = {
     "bss": 0x8_0000,
     "heap": 0x100_0000,
 }
+
+
+def _segment_layout() -> Tuple[Mapping, ...]:
+    """The six segments every process starts with, mapped once on a
+    scratch memory so the alignment and overlap checks still run."""
+    memory = Memory()
+    memory.map_region(TEXT_BASE, SEGMENT_SIZES["text"],
+                      PROT_READ | PROT_EXEC, "text")
+    memory.map_region(RODATA_BASE, SEGMENT_SIZES["rodata"],
+                      PROT_READ, "rodata")
+    memory.map_region(DATA_BASE, SEGMENT_SIZES["data"],
+                      PROT_READ | PROT_WRITE, "data")
+    memory.map_region(BSS_BASE, SEGMENT_SIZES["bss"],
+                      PROT_READ | PROT_WRITE, "bss")
+    memory.map_region(HEAP_BASE, SEGMENT_SIZES["heap"],
+                      PROT_READ | PROT_WRITE, "heap")
+    memory.map_region(STACK_LIMIT, STACK_TOP - STACK_LIMIT,
+                      PROT_READ | PROT_WRITE, "stack")
+    return tuple(memory.mappings())
+
+
+#: Shared by every process's fresh memory image; mappings are immutable,
+#: and each process gets its own mapping list and page table.
+SEGMENT_LAYOUT = _segment_layout()
 
 
 class HeapError(Exception):
@@ -143,24 +168,11 @@ class Process:
                  heap_recycle: bool = False) -> None:
         self.name = name
         self.pid = pid if pid is not None else next(_pid_counter)
-        self.memory = Memory()
+        self.memory = Memory(SEGMENT_LAYOUT)
         self.cycles = CycleAccount()
         self.exited = False
         self.exit_status: Optional[int] = None
         self.killed_reason: Optional[str] = None
-
-        self.memory.map_region(TEXT_BASE, SEGMENT_SIZES["text"],
-                               PROT_READ | PROT_EXEC, "text")
-        self.memory.map_region(RODATA_BASE, SEGMENT_SIZES["rodata"],
-                               PROT_READ, "rodata")
-        self.memory.map_region(DATA_BASE, SEGMENT_SIZES["data"],
-                               PROT_READ | PROT_WRITE, "data")
-        self.memory.map_region(BSS_BASE, SEGMENT_SIZES["bss"],
-                               PROT_READ | PROT_WRITE, "bss")
-        self.memory.map_region(HEAP_BASE, SEGMENT_SIZES["heap"],
-                               PROT_READ | PROT_WRITE, "heap")
-        self.memory.map_region(STACK_LIMIT, STACK_TOP - STACK_LIMIT,
-                               PROT_READ | PROT_WRITE, "stack")
 
         self.heap = Heap(HEAP_BASE, SEGMENT_SIZES["heap"], recycle=heap_recycle)
         self.stack_pointer = STACK_TOP

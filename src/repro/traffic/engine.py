@@ -343,10 +343,13 @@ class TrafficEngine:
         Called when the session's token is known available (or a
         violation / shard loss / verifier loss awaits it — every
         fail-closed check in ``before_syscall`` still runs).  The
-        verifier poll budget is zeroed for the call so completion never
-        grants extra validation capacity beyond the per-tick drain;
-        ``last_chance`` (timeout or dead verifier) instead lets the
-        kernel poll with its full epoch budget before condemning.
+        verifier poll budget is zeroed for the call, so the kernel
+        barrier polls nothing and completion never grants extra
+        validation capacity beyond the per-tick drain: its checks read
+        what that drain produced, and no session sends between the
+        drain and here, so the channels are empty.  ``last_chance``
+        (timeout or dead verifier) instead lets the kernel poll with
+        its full epoch budget before condemning.
         """
         event = session.barrier
         session.barrier = None

@@ -2,11 +2,12 @@
 running backlog count (repro.sim.kernel, repro.core.verifier).
 
 The traffic engine hands ``HQKernelModule`` the real verifier; the
-module bounds every barrier poll by ``poll_budget`` and spends
-``restart_budget`` on verifier crashes.  ``Verifier.backlog_size`` reads
-a word count kept current wherever a batch joins or leaves the backlog;
-the property below compares it with a recount over the queued batches,
-kept in this file as the reference the count replaced.
+module bounds every barrier poll by ``poll_budget`` (a budget of 0
+means no poll at all) and spends ``restart_budget`` on verifier
+crashes.  ``Verifier.backlog_size`` reads a word count kept current
+wherever a batch joins or leaves the backlog; the property below
+compares it with a recount over the queued batches, kept in this file
+as the reference the count replaced.
 """
 
 import pytest
@@ -23,6 +24,7 @@ from repro.sim.cpu import ProcessKilledError, SYS_EXECVE, SYS_WRITE
 from repro.sim.kernel import HQKernelModule, Kernel, shard_scoped_kill
 from repro.sim.process import Process
 from repro.traffic import TrafficConfig, run_traffic
+from repro.traffic.engine import TrafficEngine
 
 #: An opcode the wire codec does not know: dispatch abandons its batch.
 UNKNOWN_OPCODE = 0x7FFF_FFFF
@@ -73,6 +75,20 @@ def test_backlog_count_matches_a_recount(ops):
     assert verifier.backlog_size() == recount(verifier) == 0
 
 
+def _count_polls(verifier):
+    """Spy on ``verifier.poll``: the returned list gains each call's
+    budget (an instance attribute shadows the method)."""
+    polls = []
+    poll = verifier.poll
+
+    def spy(max_messages=None):
+        polls.append(max_messages)
+        return poll(max_messages)
+
+    verifier.poll = spy
+    return polls
+
+
 def _stack(verifier=None, **module_kwargs):
     verifier = verifier or Verifier(HQCFIPolicy)
     channel = AppendWriteUArch()
@@ -88,12 +104,17 @@ def _stack(verifier=None, **module_kwargs):
 class TestPollBudget:
     def test_zero_budget_barrier_dispatches_nothing_and_times_out(self):
         kernel, hq, verifier, channel, process = _stack(poll_budget=0)
+        polls = _count_polls(verifier)
         channel.send(process, msg.syscall_message(SYS_WRITE))
         with pytest.raises(ProcessKilledError):
             kernel.syscall(process, SYS_WRITE, [1, 2, 8])
         assert process.killed_reason == "synchronization epoch timeout"
-        # Received, never dispatched: the sync message is still queued.
-        assert verifier.backlog_size() == 1
+        # A zero budget polls nothing: the sync message was never even
+        # received, yet it still counts as validation load.
+        assert polls == []
+        assert channel.pending() == 1
+        assert verifier.backlog_size() == 0
+        assert hq.validation_load() == 1
         assert verifier.total_messages() == 0
 
     def test_unbounded_budget_resumes(self):
@@ -174,6 +195,46 @@ def test_traffic_soak_spends_the_restart_budget(shards):
     assert totals["kill_reasons"].get("verifier-terminated", 0) > 0
     assert totals["attacks"]["escaped"] == totals["attacks"]["wins"] == 0
     assert report["leaks"] == {"pid_entries": 0, "kernel_processes": 0}
+
+
+@pytest.mark.parametrize("shards", [None, 4])
+def test_soak_resumes_barriers_with_empty_channels_and_no_poll(shards):
+    """The invariant that makes the zero-budget skip verdict-neutral.
+
+    A barrier the engine resumes after the tick's drain (not a
+    last-chance one) runs at budget 0, so the kernel polls nothing.
+    That poll could only have received channel words, and every channel
+    is empty there: the drain received them all and no session sends
+    before barrier resolution.  Faults make the resumed barriers include
+    pending violations and post-restart ones.
+    """
+    engine = TrafficEngine(TrafficConfig(
+        sessions=300, phases="warmup:20,steady:60,surge:80,drain:40",
+        shards=shards, seed=3,
+        faults=((60, "verifier-crash"), (120, "channel-corrupt"))))
+    polls = _count_polls(engine.verifier)
+    complete = engine._complete_barrier
+    resumed = []
+
+    def checked(session, last_chance=False):
+        if not last_chance:
+            assert [ch.pending() for ch in engine.verifier.channels] \
+                == [0] * len(engine.verifier.channels)
+            before = len(polls)
+            complete(session)
+            assert len(polls) == before, "a zero-budget barrier polled"
+            resumed.append(session.outcome)
+        else:
+            complete(session, last_chance=True)
+
+    engine._complete_barrier = checked
+    report = engine.run()
+    totals = report["totals"]
+    assert len(totals["faults_fired"]) == 2
+    assert totals["verifier_restarts"] >= 1
+    assert totals["kill_reasons"].get("policy violation", 0) > 0
+    assert len(resumed) > 1000 and "killed" in resumed
+    assert totals["attacks"]["escaped"] == totals["attacks"]["wins"] == 0
 
 
 def test_single_verifier_never_reports_a_shard_down():

@@ -1,18 +1,32 @@
 """Tests for processes, heaps, and stacks (repro.sim.process)."""
 
+import dataclasses
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.memory import Memory, PROT_READ, PROT_WRITE, SegmentationFault
+from repro.sim.memory import (
+    Memory,
+    PAGE_SIZE,
+    PROT_EXEC,
+    PROT_NONE,
+    PROT_READ,
+    PROT_WRITE,
+    SegmentationFault,
+)
 from repro.sim.process import (
+    BSS_BASE,
+    DATA_BASE,
     HEAP_BASE,
     Heap,
     HeapError,
     Process,
+    RODATA_BASE,
+    SEGMENT_SIZES,
     STACK_LIMIT,
     STACK_TOP,
+    TEXT_BASE,
 )
 
 
@@ -177,6 +191,50 @@ class TestFootprint:
         allocated = _allocated_by(lambda: memory.map_region(
             HEAP_BASE, 1 << 30, PROT_READ | PROT_WRITE, "huge"))
         assert allocated < 64 * 1024
+
+
+class TestSharedLayout:
+    """Every process starts from one immutable segment layout."""
+
+    def test_one_process_changing_its_mappings_leaves_another_alone(self):
+        first, second = Process(), Process()
+        mappings = list(second.memory.mappings())
+        prots = [second.memory.prot_of(m.start) for m in mappings]
+        anon = first.mmap_anonymous(PAGE_SIZE, PROT_READ | PROT_WRITE)
+        first.memory.protect_region(DATA_BASE, PAGE_SIZE, PROT_READ)
+        first.memory.unmap_region(BSS_BASE)
+        assert first.memory.prot_of(DATA_BASE) == PROT_READ
+        assert first.region_of(BSS_BASE) == "unmapped"
+        assert list(second.memory.mappings()) == mappings
+        assert [second.memory.prot_of(m.start) for m in mappings] == prots
+        assert second.memory.prot_of(anon) == PROT_NONE
+        assert second.region_of(anon) == "unmapped"
+
+    def test_mapping_fields_cannot_be_assigned(self):
+        mapping = next(Process().memory.mappings())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mapping.prot = PROT_READ | PROT_WRITE | PROT_EXEC
+
+    def test_fresh_image_equals_six_map_region_calls(self):
+        reference = Memory()
+        reference.map_region(TEXT_BASE, SEGMENT_SIZES["text"],
+                             PROT_READ | PROT_EXEC, "text")
+        reference.map_region(RODATA_BASE, SEGMENT_SIZES["rodata"],
+                             PROT_READ, "rodata")
+        reference.map_region(DATA_BASE, SEGMENT_SIZES["data"],
+                             PROT_READ | PROT_WRITE, "data")
+        reference.map_region(BSS_BASE, SEGMENT_SIZES["bss"],
+                             PROT_READ | PROT_WRITE, "bss")
+        reference.map_region(HEAP_BASE, SEGMENT_SIZES["heap"],
+                             PROT_READ | PROT_WRITE, "heap")
+        reference.map_region(STACK_LIMIT, STACK_TOP - STACK_LIMIT,
+                             PROT_READ | PROT_WRITE, "stack")
+        memory = Process().memory
+        assert list(memory.mappings()) == list(reference.mappings())
+        assert memory.prot_epoch == reference.prot_epoch == 6
+        for mapping in reference.mappings():
+            for address in (mapping.start, mapping.end - PAGE_SIZE):
+                assert memory.prot_of(address) == reference.prot_of(address)
 
 
 @settings(max_examples=50)
