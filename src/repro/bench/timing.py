@@ -67,21 +67,23 @@ class PipelineTimer:
 # ---------------------------------------------------------------------------
 # Shared measurement harness
 # ---------------------------------------------------------------------------
-#
-# The best-of-N defence against scheduler noise that the msgpath and
-# interp timing CLIs share.
 
-def best_of(rounds: int, fn: Callable[[], Dict[str, object]], *,
-            key: str = "msgs_per_sec") -> Dict[str, object]:
+#: The rate :func:`best_of` ranks rounds by.
+BEST_OF_KEY = "msgs_per_sec"
+
+
+def best_of(rounds: int,
+            fn: Callable[[], Dict[str, object]]) -> Dict[str, object]:
     """Run ``fn`` up to ``rounds`` times; keep the result dict with the
-    highest value under ``key``, annotated with the round count — the
-    standard defence against scheduler noise when timing sub-second
+    highest :data:`BEST_OF_KEY` rate, annotated with the round count —
+    the standard defence against scheduler noise when timing sub-second
     loops."""
     rounds = max(1, rounds)
     best: Optional[Dict[str, object]] = None
     for _ in range(rounds):
         result = fn()
-        if best is None or float(result[key]) > float(best[key]):
+        if best is None or \
+                float(result[BEST_OF_KEY]) > float(best[BEST_OF_KEY]):
             best = result
     assert best is not None
     best["rounds"] = rounds

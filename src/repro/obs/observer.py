@@ -66,9 +66,9 @@ class Observer:
         self._pid_table_size = None
         self._session_lifetime = None
         self._shed_sessions = None
-        #: Lazily-created compile-tier metrics (``interp.*``): only runs
-        #: that actually lower a function create them, so closure-tier
-        #: and pre-VM reports keep their exact shape.
+        #: Lazily-created interpreter metrics (``interp.*``): only runs
+        #: that actually lower a function create them, so reports of
+        #: runs that never enter the interpreter keep their exact shape.
         self._vm_compiled_blocks = None
         self._vm_deopts = None
 
@@ -135,8 +135,9 @@ class Observer:
                             {"function": function, "block": block})
 
     def vm_compile(self, function: str, blocks: int) -> None:
-        """The compile tier lowered ``function`` into ``blocks`` flat
-        block bodies (lazy; once per function per interpreter)."""
+        """The VM lowered ``function`` into ``blocks`` flat block bodies
+        (lazy; once per function, or per short-call variant, per
+        interpreter)."""
         if self._vm_compiled_blocks is None:
             self._vm_compiled_blocks = self.registry.counter(
                 "interp.compiled_blocks")
@@ -146,8 +147,9 @@ class Observer:
                             {"function": function, "blocks": blocks})
 
     def vm_deopt(self) -> None:
-        """A compiled frame bridged one instruction through the closure
-        tier (call/syscall/runtime callout escape)."""
+        """A compiled frame ran one instruction through its escape
+        handler (call, syscall, runtime callout, heap operation,
+        longjmp)."""
         if self._vm_deopts is None:
             self._vm_deopts = self.registry.counter("interp.deopt_count")
         self._vm_deopts.value += 1

@@ -2,9 +2,12 @@
 
 Executes :mod:`repro.compiler.ir` programs against a
 :class:`~repro.sim.process.Process`, charging cycle costs per operation
-(:data:`repro.sim.cycles.OP_COSTS`) and — crucially for the security
-experiments — modelling the machine-level mechanics that memory-safety
-attacks abuse:
+(:data:`repro.sim.cycles.OP_COSTS`).  Each function is lowered on first
+call to the flat register VM (:mod:`repro.sim.lower`,
+:mod:`repro.sim.vm`); this module keeps the escape handlers the VM
+bridges to, the call sequence, and — crucially for the security
+experiments — the machine-level mechanics that memory-safety attacks
+abuse:
 
 * **Return addresses live in simulated memory.**  Every call pushes a
   return-site address onto the simulated stack (or onto a *safe stack*
@@ -28,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.compiler import ir
-from repro.compiler.types import PointerType
 from repro.sim.cycles import OP_COSTS
 from repro.sim.loader import Image
 from repro.sim.memory import (
@@ -43,75 +45,6 @@ from repro.sim.process import Process
 
 class ProgramCrash(Exception):
     """The simulated program crashed (segfault, bad jump, heap abuse)."""
-
-
-# ---------------------------------------------------------------------------
-# Operator tables (fast-path dispatch)
-# ---------------------------------------------------------------------------
-
-def _op_add(lhs: int, rhs: int) -> int:
-    return lhs + rhs
-
-
-def _op_sub(lhs: int, rhs: int) -> int:
-    return lhs - rhs
-
-
-def _op_mul(lhs: int, rhs: int) -> int:
-    return lhs * rhs
-
-
-def _op_div(lhs: int, rhs: int) -> int:
-    if rhs == 0:
-        raise ProgramCrash("division by zero")
-    return lhs // rhs
-
-
-def _op_rem(lhs: int, rhs: int) -> int:
-    if rhs == 0:
-        raise ProgramCrash("remainder by zero")
-    return lhs % rhs
-
-
-def _op_and(lhs: int, rhs: int) -> int:
-    return lhs & rhs
-
-
-def _op_or(lhs: int, rhs: int) -> int:
-    return lhs | rhs
-
-
-def _op_xor(lhs: int, rhs: int) -> int:
-    return lhs ^ rhs
-
-
-def _op_shl(lhs: int, rhs: int) -> int:
-    return lhs << (rhs & 63)
-
-
-def _op_shr(lhs: int, rhs: int) -> int:
-    return lhs >> (rhs & 63)
-
-
-#: Integer binary operators, pre-resolved so the hot loop never string-matches.
-_BINOP_FUNCS: Dict[str, Callable[[int, int], int]] = {
-    "add": _op_add, "sub": _op_sub, "mul": _op_mul,
-    "div": _op_div, "sdiv": _op_div, "udiv": _op_div,
-    "rem": _op_rem, "srem": _op_rem, "urem": _op_rem,
-    "and": _op_and, "or": _op_or, "xor": _op_xor,
-    "shl": _op_shl, "shr": _op_shr, "lshr": _op_shr, "ashr": _op_shr,
-}
-
-_FLOAT_OPS = ("fadd", "fsub", "fmul", "fdiv")
-
-_CMP_FUNCS: Dict[str, Callable[[int, int], bool]] = {
-    "eq": lambda lhs, rhs: lhs == rhs,
-    "ne": lambda lhs, rhs: lhs != rhs,
-    "lt": lambda lhs, rhs: lhs < rhs,
-    "le": lambda lhs, rhs: lhs <= rhs,
-    "gt": lambda lhs, rhs: lhs > rhs,
-    "ge": lambda lhs, rhs: lhs >= rhs,
-}
 
 
 class ExecutionLimitExceeded(ProgramCrash):
@@ -159,36 +92,14 @@ class _ReturnHijack(Exception):
         self.event = event
 
 
-class _DecodedBlock:
-    """Decode-cache entry for one basic block.
-
-    ``phis`` are the block's leading phi instructions (evaluated
-    simultaneously on entry, as before).  ``entries`` is the executable
-    straight-line body: ``(run, nsteps, instruction)`` triples where
-    ``run(frame)`` executes one instruction — or a fused group of
-    ``nsteps`` side-effect-free ones with a single batched cycle charge
-    (``instruction`` is then None).
-    """
-
-    __slots__ = ("phis", "entries")
-
-    def __init__(self, phis: List["ir.Phi"],
-                 entries: List[Tuple[Callable, int, Optional["ir.Instruction"]]]
-                 ) -> None:
-        self.phis = phis
-        self.entries = entries
-
-    def index_after(self, instruction: "ir.Instruction") -> int:
-        """Entry index just past ``instruction`` (setjmp resume point)."""
-        for position, (_, _, decoded) in enumerate(self.entries):
-            if decoded is instruction:
-                return position + 1
-        return len(self.entries)
-
-
 @dataclass
 class ExecOptions:
-    """Knobs the compiler driver / framework set on the execution."""
+    """Knobs the design configuration and framework set on the
+    execution.
+
+    None selects an interpreter: every function runs on the register
+    VM (:mod:`repro.sim.vm`).
+    """
 
     #: Return addresses go to a hidden safe-stack region instead of the
     #: regular stack (Clang SafeStack / CPI / HQ-CFI-SfeStk).
@@ -215,11 +126,6 @@ class ExecOptions:
     safe_stack_call_cycles: float = 8.0
     #: Seed for the layout randomization.
     seed: int = 1
-    #: Interpreter execution tier: ``"vm"`` (default) lazily lowers
-    #: functions into the flat register VM (:mod:`repro.sim.vm`) with
-    #: per-instruction deopt bridges back to the closure path;
-    #: ``"closure"`` forces the fused-closure tier everywhere.
-    interp_tier: str = "vm"
 
 
 class Runtime:
@@ -259,11 +165,6 @@ SYS_WIN = 1337
 
 SyscallDispatcher = Callable[[Process, int, List[int]], int]
 
-#: Sentinel distinguishing "never lowered" from "lowered to None
-#: (rejected)" in the compile-tier cache.
-_UNCOMPILED = object()
-
-
 def default_syscall_dispatcher(process: Process, number: int,
                                args: List[int]) -> int:
     """Minimal standalone syscall table (no kernel attached)."""
@@ -297,7 +198,7 @@ class Interpreter:
         self.syscall_dispatcher = syscall_dispatcher or default_syscall_dispatcher
         self._on_step = on_step
         #: Observability hook (:class:`repro.obs.Observer`); None keeps
-        #: the block-dispatch loop at one predicate check of overhead.
+        #: the VM's dispatch loop free of block-entry bookkeeping.
         self.observer = observer
         self.steps = 0
         self.hijacks: List[HijackEvent] = []
@@ -307,26 +208,22 @@ class Interpreter:
         self.call_stack: List[Tuple[int, int]] = []
         self.output: List[int] = []
         self._site_ids: Dict[int, int] = {}
-        self._setjmp_points: Dict[int, Tuple[ir.Setjmp, object]] = {}
+        #: setjmp token -> (register file, result register, resume pc)
+        #: of the activation that last ran that setjmp.
+        self._setjmp_points: Dict[int, Tuple[list, int, int]] = {}
         self._rng = random.Random(self.options.seed)
-        #: Fast-path caches: decoded basic blocks (bound handlers +
-        #: pre-resolved operand accessors) and per-function frame layouts.
-        self._block_cache: Dict[int, "_DecodedBlock"] = {}
-        self._frame_layouts: Dict[int, Tuple[int, List[Tuple[str, int]]]] = {}
-        #: Compile tier: lazily lowered functions (None = rejected to
-        #: the closure path).  Both code caches bake in protection-epoch
-        #: and process state (bound memory/cycle methods, resolved
-        #: addresses), so they are validated against
+        #: Lazily lowered functions, keyed by function id (plus the
+        #: argument count for a short call's variant).  Lowered code
+        #: bakes in process state (bound memory/cycle methods, resolved
+        #: addresses), so the cache is validated against
         #: ``(process, prot_epoch)`` on every function entry and flushed
         #: when either diverges (mprotect mid-run, fork-child rebind).
-        self._vm_cache: Dict[int, object] = {}
+        self._vm_cache: Dict[object, object] = {}
         self._cache_process = self.process
         self._cache_epoch = self.process.memory.prot_epoch
-        self._vm_enabled = self.options.interp_tier != "closure"
-        if self._vm_enabled:
-            from repro.sim.vm import execute as vm_execute
-            self._vm_execute = vm_execute
-        #: Tier telemetry (plain counters; the observer mirrors them as
+        from repro.sim.vm import execute as vm_execute
+        self._vm_execute = vm_execute
+        #: VM telemetry (plain counters; the observer mirrors them as
         #: ``interp.compiled_blocks`` / ``interp.deopt_count``).
         self.compiled_functions = 0
         self.deopt_count = 0
@@ -383,11 +280,16 @@ class Interpreter:
         self.runtime.on_program_start(self.image)
         try:
             return self._exec_function(function, args or [])
-        except _ReturnHijack as unwound:
+        except _ReturnHijack:
             # A hijacked return unwound past the entry point after the
             # attacker payload ran; treat like program termination.
             self.process.exited = True
             return -1
+        except _LongjmpUnwind as unwind:
+            # No live activation ran the setjmp last (it has returned):
+            # fail closed.
+            raise ProgramCrash(f"longjmp to {unwind.token:#x}: its setjmp's "
+                               f"activation has returned") from None
 
     # -- helpers ---------------------------------------------------------------------
 
@@ -420,15 +322,10 @@ class Interpreter:
         if self.process is not self._cache_process or \
                 self.process.memory.prot_epoch != self._cache_epoch:
             self.invalidate_caches()
-        compiled = self._vm_compiled(function) if self._vm_enabled else None
-        if compiled is not None and len(args) >= compiled.nparams:
-            # Compile tier: flat register-VM dispatch (repro.sim.vm).
-            # Fewer args than params would leave parameters undefined
-            # (the closure tier's zip semantics); such invocations run
-            # on the closure path, which models that lazily.
-            result = self._vm_execute(self, compiled, args)
-        else:
-            result = self._exec_function_closures(function, args)
+        compiled = self._vm_cache.get(id(function))
+        if compiled is None or len(args) < compiled.nparams:
+            compiled = self._vm_compiled(function, len(args))
+        result = self._vm_execute(self, compiled, args)
 
         # Backward edge: consume the return-address slot.
         if ret_slot is not None and return_address is not None:
@@ -441,168 +338,40 @@ class Interpreter:
                 raise _ReturnHijack(event)
         return result
 
-    def _exec_function_closures(self, function: ir.Function,
-                                args: List[int]) -> int:
-        """Closure-tier function body (frame dict + decoded blocks)."""
-        frame: Dict[str, int] = {}
-        for param, value in zip(function.params, args):
-            frame[param.name] = value
-        layout = self._frame_layouts.get(id(function))
-        if layout is None:
-            alloca_bytes = 0
-            slots: List[Tuple[str, int]] = []
-            for instruction in function.instructions():
-                if isinstance(instruction, ir.Alloca):
-                    slots.append((instruction.name, alloca_bytes))
-                    alloca_bytes += max(instruction.allocated_type.size(),
-                                        WORD_SIZE)
-            layout = (alloca_bytes, slots)
-            self._frame_layouts[id(function)] = layout
-        alloca_bytes, slots = layout
-        frame_base = self.process.push_frame(alloca_bytes) if alloca_bytes else None
-        if frame_base is not None:
-            for slot_name, offset in slots:
-                frame[slot_name] = frame_base + offset
+    def _vm_compiled(self, function: ir.Function, nargs: int):
+        """Lowered code for ``function`` called with ``nargs`` arguments.
+        Lazy, cached per function (until invalidation); a call passing
+        fewer arguments than parameters gets a variant of its own."""
+        from repro.sim import lower
 
-        try:
-            return self._exec_blocks(function, frame)
-        finally:
-            if frame_base is not None:
-                self.process.pop_frame(alloca_bytes)
-
-    # -- compile tier --------------------------------------------------------------
-
-    def _vm_compiled(self, function: ir.Function):
-        """Lowered code for ``function``; None if it rejected to the
-        closure tier.  Lazy, cached per function (until invalidation)."""
-        key = id(function)
-        cache = self._vm_cache
-        compiled = cache.get(key, _UNCOMPILED)
-        if compiled is _UNCOMPILED:
-            from repro.sim.lower import lower_function
-            compiled = lower_function(self, function)
-            cache[key] = compiled
-            if compiled is not None:
-                self.compiled_functions += 1
-                if self.observer is not None:
-                    self.observer.vm_compile(function.name,
-                                             compiled.nblocks)
+        partial = nargs < len(function.params)
+        key = (id(function), nargs) if partial else id(function)
+        compiled = self._vm_cache.get(key)
+        if compiled is None:
+            compiled = lower.lower_function(self, function,
+                                            nargs if partial else None)
+            self._vm_cache[key] = compiled
+            self.compiled_functions += 1
+            if self.observer is not None:
+                self.observer.vm_compile(function.name, compiled.nblocks)
         return compiled
 
     def invalidate_caches(self) -> None:
-        """Flush decode + compile caches (stale protection epoch or a
-        rebound process; frame layouts are pure IR data and survive)."""
-        self._block_cache.clear()
+        """Flush the compile cache (stale protection epoch or a rebound
+        process)."""
         self._vm_cache.clear()
         self._cache_process = self.process
         self._cache_epoch = self.process.memory.prot_epoch
 
-    def _exec_blocks(self, function: ir.Function, frame: Dict[str, int]) -> int:
-        block = function.entry
-        previous: Optional[ir.BasicBlock] = None
-        while True:
-            next_block, previous, result = self._exec_block(
-                function, block, previous, frame)
-            if next_block is None:
-                return result
-            block = next_block
-
-    def _exec_block(self, function: ir.Function, block: ir.BasicBlock,
-                    previous: Optional[ir.BasicBlock],
-                    frame: Dict[str, int]):
-        decoded = self._block_cache.get(id(block))
-        obs = self.observer
-        if decoded is None:
-            decoded = self._decode_block(function, block)
-            self._block_cache[id(block)] = decoded
-            if obs is not None:
-                obs.cpu_decode_miss(function.name, block.name)
-        elif obs is not None:
-            obs.cpu_decode_hits.value += 1
-        if obs is not None:
-            obs.cpu_blocks.value += 1
-            obs.cpu_block_size.observe(len(decoded.entries))
-
-        # A longjmp landing in this block resumes just after its setjmp
-        # (see the "setjmp_resume" handling below).
-        resume_after = frame.pop("__resume_after__", None)
-
-        # Phis are evaluated simultaneously on entry (skipped when
-        # resuming mid-block from a longjmp).
-        if resume_after is None:
-            index = 0
-            if decoded.phis:
-                phi_values: Dict[str, int] = {}
-                for instruction in decoded.phis:
-                    for value, pred in instruction.incoming:
-                        if pred is previous:
-                            phi_values[instruction.name] = \
-                                self._eval(value, frame)
-                            break
-                    else:
-                        phi_values[instruction.name] = 0
-                frame.update(phi_values)
-        else:
-            index = decoded.index_after(resume_after)
-
-        entries = decoded.entries
-        count = len(entries)
-        max_steps = self.options.max_steps
-        on_step = self._on_step
-        interval = self.ON_STEP_INTERVAL
-        while index < count:
-            run, nsteps, _ = entries[index]
-            index += 1
-            if nsteps == 1:
-                self.steps += 1
-                if self.steps > max_steps:
-                    raise ExecutionLimitExceeded(
-                        f"exceeded {max_steps} steps (hang?)")
-                if on_step is not None and self.steps % interval == 0:
-                    # The verifier runs concurrently on another core: it
-                    # drains channels while the monitored program
-                    # executes, costing the program nothing.
-                    on_step()
-            else:
-                # Fused straight-line group: the batch contains no
-                # messaging, syscalls, or control flow, so crossing the
-                # verifier-poll boundary anywhere inside it is
-                # observationally equivalent to polling per instruction.
-                before = self.steps
-                self.steps = before + nsteps
-                if self.steps > max_steps:
-                    raise ExecutionLimitExceeded(
-                        f"exceeded {max_steps} steps (hang?)")
-                if on_step is not None:
-                    for _ in range(self.steps // interval
-                                   - before // interval):
-                        on_step()
-            outcome = run(frame)
-            if outcome is not None:
-                kind, payload = outcome
-                if kind == "br":
-                    return payload, block, 0
-                if kind == "ret":
-                    return None, block, payload
-                if kind == "setjmp_resume":
-                    # longjmp landed: resume right after the setjmp,
-                    # which may live in a different (dominating) block.
-                    target_instr, value = payload
-                    frame[target_instr.name] = value
-                    if target_instr.block is block:
-                        index = decoded.index_after(target_instr)
-                    else:
-                        frame["__resume_after__"] = target_instr
-                        return target_instr.block, block, 0
-        raise ProgramCrash(f"block {function.name}:{block.name} fell through")
-
-    # -- decode cache (fast path) --------------------------------------------------
+    # -- escape handlers -------------------------------------------------------------
 
     def _operand(self, value: ir.Value) -> Callable[[Dict[str, int]], int]:
-        """Pre-resolve an operand to a ``frame -> int`` accessor.
+        """Pre-resolve an escape handler's operand to a ``frame -> int``
+        accessor.
 
         Constants, function addresses, and global addresses are resolved
-        once at decode time; SSA values become a single dict lookup.
+        once at decode time; SSA values become a single lookup in the
+        frame dict the VM builds for the bridge.
         """
         if isinstance(value, ir.Constant):
             constant = value.value
@@ -638,238 +407,23 @@ class Interpreter:
             raise ProgramCrash(f"cannot evaluate {value!r}")
         return unevaluable
 
-    def _decode_block(self, function: ir.Function,
-                      block: ir.BasicBlock) -> _DecodedBlock:
-        """Decode ``block`` into bound closures, fusing straight-line
-        runs of side-effect-free instructions into batched entries."""
-        phis: List[ir.Phi] = []
-        for instruction in block.instructions:
-            if isinstance(instruction, ir.Phi):
-                phis.append(instruction)
-            else:
-                break
-
-        cycles = self.process.cycles
-        entries: List[Tuple[Callable, int, Optional[ir.Instruction]]] = []
-        pending: List[Tuple[Callable, float, ir.Instruction]] = []
-
-        def flush() -> None:
-            if not pending:
-                return
-            if len(pending) == 1:
-                core, cost, instruction = pending[0]
-
-                def run_one(frame: Dict[str, int],
-                            core=core, cost=cost) -> None:
-                    cycles.user += cost
-                    core(frame)
-                entries.append((run_one, 1, instruction))
-            else:
-                cores = tuple(core for core, _, _ in pending)
-                total = 0.0
-                for _, cost, _ in pending:
-                    total += cost
-
-                def run_group(frame: Dict[str, int],
-                              cores=cores, total=total) -> None:
-                    cycles.user += total
-                    for core in cores:
-                        core(frame)
-                entries.append((run_group, len(pending), None))
-            pending.clear()
-
-        for instruction in block.instructions:
-            if isinstance(instruction, ir.Phi):
-                continue
-            fused = self._decode_fusable(instruction)
-            if fused is not None:
-                core, cost = fused
-                pending.append((core, cost, instruction))
-                continue
-            flush()
-            entries.append(
-                (self._decode_single(function, instruction), 1,
-                 instruction))
-        flush()
-        return _DecodedBlock(phis, entries)
-
-    def _decode_fusable(self, instruction: ir.Instruction):
-        """Decode one side-effect-free instruction to ``(core, cost)``.
-
-        Returns None for instructions that interact with the outside
-        world (messages, syscalls, control flow, heap) — those must run
-        as their own step so verifier polling and step accounting see
-        them individually.
-        """
-        factor = self.options.register_pressure_factor
-        cls = type(instruction)
-        name = instruction.name
-
-        if cls is ir.BinOp:
-            cost = OP_COSTS.get("binop", 1.0) * factor
-            lhs = self._operand(instruction.lhs)
-            rhs = self._operand(instruction.rhs)
-            op = instruction.op
-            int_fn = _BINOP_FUNCS.get(op)
-            if int_fn is not None:
-                def core(frame: Dict[str, int]) -> None:
-                    frame[name] = int_fn(lhs(frame), rhs(frame))
-                return core, cost
-            if op in _FLOAT_OPS:
-                float_fn = self._float_binop
-
-                def core(frame: Dict[str, int]) -> None:
-                    frame[name] = float_fn(op, lhs(frame), rhs(frame))
-                return core, cost
-
-            def core(frame: Dict[str, int]) -> None:
-                raise ProgramCrash(f"unknown binop {op}")
-            return core, cost
-
-        if cls is ir.Cmp:
-            cost = OP_COSTS.get("cmp", 1.0) * factor
-            lhs = self._operand(instruction.lhs)
-            rhs = self._operand(instruction.rhs)
-            cmp_fn = _CMP_FUNCS.get(instruction.op)
-            if cmp_fn is None:
-                op = instruction.op
-
-                def core(frame: Dict[str, int]) -> None:
-                    raise ProgramCrash(f"unknown comparison {op}")
-                return core, cost
-
-            def core(frame: Dict[str, int]) -> None:
-                frame[name] = 1 if cmp_fn(lhs(frame), rhs(frame)) else 0
-            return core, cost
-
-        if cls is ir.Load:
-            cost = OP_COSTS.get("load", 1.0) * factor
-            pointer = self._operand(instruction.pointer)
-            load = self.process.memory.load
-
-            def core(frame: Dict[str, int]) -> None:
-                frame[name] = load(pointer(frame))
-            return core, cost
-
-        if cls is ir.Store:
-            cost = OP_COSTS.get("store", 1.0) * factor
-            pointer = self._operand(instruction.pointer)
-            value = self._operand(instruction.value)
-            store = self.process.memory.store
-
-            def core(frame: Dict[str, int]) -> None:
-                store(pointer(frame), value(frame))
-            return core, cost
-
-        if cls is ir.Gep:
-            return self._decode_gep(instruction)
-
-        if cls is ir.Cast:
-            cost = OP_COSTS.get("cast", 1.0) * factor
-            value = self._operand(instruction.value)
-
-            def core(frame: Dict[str, int]) -> None:
-                frame[name] = value(frame)
-            return core, cost
-
-        if cls is ir.Select:
-            cost = OP_COSTS.get("select", 1.0) * factor
-            cond = self._operand(instruction.cond)
-            if_true = self._operand(instruction.if_true)
-            if_false = self._operand(instruction.if_false)
-
-            def core(frame: Dict[str, int]) -> None:
-                frame[name] = if_true(frame) if cond(frame) else \
-                    if_false(frame)
-            return core, cost
-
-        if cls is ir.Alloca:
-            cost = OP_COSTS.get("alloca", 1.0) * factor
-
-            def core(frame: Dict[str, int]) -> None:
-                return None  # address assigned at frame setup
-            return core, cost
-
-        return None
-
-    def _decode_gep(self, instruction: ir.Gep):
-        factor = self.options.register_pressure_factor
-        cost = OP_COSTS.get("gep", 1.0) * factor
-        name = instruction.name
-        base = self._operand(instruction.pointer)
-        base_type = instruction.pointer.type
-        pointee = base_type.pointee if isinstance(base_type, PointerType) \
-            else None
-        if instruction.field is not None:
-            if pointee is None or not hasattr(pointee, "field_offset"):
-                def core(frame: Dict[str, int]) -> None:
-                    raise ProgramCrash("field gep on non-struct pointer")
-                return core, cost
-            try:
-                offset = pointee.field_offset(instruction.field)
-            except Exception:
-                # Malformed field: the lookup's own exception surfaces
-                # at execution time.
-                field = instruction.field
-
-                def core(frame: Dict[str, int]) -> None:
-                    frame[name] = base(frame) + pointee.field_offset(field)
-                return core, cost
-
-            def core(frame: Dict[str, int]) -> None:
-                frame[name] = base(frame) + offset
-            return core, cost
-        index = self._operand(instruction.index)
-        element = getattr(pointee, "element", None)
-        element_size = element.size() if element is not None else WORD_SIZE
-
-        def core(frame: Dict[str, int]) -> None:
-            frame[name] = base(frame) + index(frame) * element_size
-        return core, cost
-
     def _decode_single(self, function: ir.Function,
                        instruction: ir.Instruction) -> Callable:
-        """Decode one stepped instruction to a ``frame -> outcome`` run
-        closure (control flow, calls, messaging, memory management)."""
+        """Decode one instruction the VM escapes to (calls, messaging,
+        syscalls, heap management, longjmp, unknown instructions) into a
+        ``frame -> None`` handler that reads and writes ``frame``."""
         factor = self.options.register_pressure_factor
         cycles = self.process.cycles
         cls = type(instruction)
         name = instruction.name
-
-        if cls is ir.Br:
-            cost = OP_COSTS.get("br", 1.0) * factor
-            outcome = ("br", instruction.target)
-
-            def run(frame: Dict[str, int]):
-                cycles.user += cost
-                return outcome
-            return run
-
-        if cls is ir.CondBr:
-            cost = OP_COSTS.get("br", 1.0) * factor
-            cond = self._operand(instruction.cond)
-            on_true = ("br", instruction.if_true)
-            on_false = ("br", instruction.if_false)
-
-            def run(frame: Dict[str, int]):
-                cycles.user += cost
-                return on_true if cond(frame) else on_false
-            return run
-
-        if cls is ir.Ret:
-            if instruction.value is None:
-                return lambda frame: ("ret", 0)
-            value = self._operand(instruction.value)
-            return lambda frame: ("ret", value(frame))
 
         if cls is ir.Call:
             callee = instruction.callee
             accessors = [self._operand(a) for a in instruction.args]
 
-            def run(frame: Dict[str, int]):
-                return self._do_call(
-                    function, instruction, frame, callee,
-                    [accessor(frame) for accessor in accessors])
+            def run(frame: Dict[str, int]) -> None:
+                self._do_call(function, instruction, frame, callee,
+                              [accessor(frame) for accessor in accessors])
             return run
 
         if cls is ir.ICall:
@@ -879,7 +433,7 @@ class Interpreter:
             function_at = self.image.function_at
             intended = instruction.meta.get("intended_targets")
 
-            def run(frame: Dict[str, int]):
+            def run(frame: Dict[str, int]) -> None:
                 cycles.user += cost
                 target = target_acc(frame)
                 callee = function_at.get(target)
@@ -895,9 +449,8 @@ class Interpreter:
                 if intended is not None and callee.name not in intended:
                     self.hijacks.append(
                         HijackEvent("icall", target, function.name))
-                return self._do_call(
-                    function, instruction, frame, callee,
-                    [accessor(frame) for accessor in accessors])
+                self._do_call(function, instruction, frame, callee,
+                              [accessor(frame) for accessor in accessors])
             return run
 
         if cls is ir.RuntimeCall:
@@ -906,22 +459,20 @@ class Interpreter:
             if runtime_name == "builtin_ret_slot":
                 call_stack = self.call_stack
 
-                def run(frame: Dict[str, int]):
+                def run(frame: Dict[str, int]) -> None:
                     [accessor(frame) for accessor in accessors]
                     # __builtin_return_address-style disclosure: the
                     # address of the current frame's return-address slot
                     # (wherever it lives).  RIPE uses this to emulate
                     # disclosure attacks (section 5.2).
                     frame[name] = call_stack[-1][0] if call_stack else 0
-                    return None
                 return run
             runtime_call = self.runtime.call
 
-            def run(frame: Dict[str, int]):
+            def run(frame: Dict[str, int]) -> None:
                 frame[name] = runtime_call(
                     runtime_name,
                     [accessor(frame) for accessor in accessors])
-                return None
             return run
 
         if cls is ir.Malloc:
@@ -929,10 +480,9 @@ class Interpreter:
             size = self._operand(instruction.size)
             heap = self.process.heap
 
-            def run(frame: Dict[str, int]):
+            def run(frame: Dict[str, int]) -> None:
                 cycles.user += cost
                 frame[name] = heap.malloc(size(frame))
-                return None
             return run
 
         if cls is ir.Free:
@@ -940,10 +490,9 @@ class Interpreter:
             pointer = self._operand(instruction.pointer)
             heap = self.process.heap
 
-            def run(frame: Dict[str, int]):
+            def run(frame: Dict[str, int]) -> None:
                 cycles.user += cost
                 heap.free(pointer(frame))
-                return None
             return run
 
         if cls is ir.Realloc:
@@ -953,7 +502,7 @@ class Interpreter:
             heap = self.process.heap
             memory = self.process.memory
 
-            def run(frame: Dict[str, int]):
+            def run(frame: Dict[str, int]) -> None:
                 cycles.user += cost
                 old = pointer(frame)
                 new_size = size(frame)
@@ -964,7 +513,6 @@ class Interpreter:
                     memory.copy_block(old, new, old_size // WORD_SIZE)
                     heap.free(old)
                 frame[name] = new
-                return None
             return run
 
         if cls is ir.MemCopy:
@@ -974,13 +522,12 @@ class Interpreter:
             size = self._operand(instruction.size)
             copy_block = self.process.memory.copy_block
 
-            def run(frame: Dict[str, int]):
+            def run(frame: Dict[str, int]) -> None:
                 dst_addr = dst(frame)
                 src_addr = src(frame)
                 words = max(size(frame) // WORD_SIZE, 0)
                 cycles.charge_user(word_cost * words)
                 copy_block(src_addr, dst_addr, words)
-                return None
             return run
 
         if cls is ir.MemSet:
@@ -990,14 +537,13 @@ class Interpreter:
             size = self._operand(instruction.size)
             store = self.process.memory.store
 
-            def run(frame: Dict[str, int]):
+            def run(frame: Dict[str, int]) -> None:
                 dst_addr = dst(frame)
                 fill = value(frame)
                 words = max(size(frame) // WORD_SIZE, 0)
                 cycles.charge_user(word_cost * words)
                 for i in range(words):
                     store(dst_addr + i * WORD_SIZE, fill)
-                return None
             return run
 
         if cls is ir.Syscall:
@@ -1008,29 +554,12 @@ class Interpreter:
             output = self.output
             is_write = number == SYS_WRITE
 
-            def run(frame: Dict[str, int]):
+            def run(frame: Dict[str, int]) -> None:
                 args = [accessor(frame) for accessor in accessors]
                 cycles.charge_syscall(syscall_cost)
                 frame[name] = self.syscall_dispatcher(process, number, args)
                 if is_write and len(args) >= 2:
                     output.append(args[1])
-                return None
-            return run
-
-        if cls is ir.Setjmp:
-            cost = OP_COSTS.get("setjmp", 1.0) * factor
-            buf = self._operand(instruction.buf)
-            store = self.process.memory.store
-
-            def run(frame: Dict[str, int]):
-                cycles.user += cost
-                buf_addr = buf(frame)
-                token = self._site_address(function, instruction)
-                store(buf_addr, token)
-                self._setjmp_points[token] = (instruction, None)
-                frame[name] = 0
-                # Returning 0 now; a longjmp resumes here with its value.
-                return None
             return run
 
         if cls is ir.Longjmp:
@@ -1039,7 +568,7 @@ class Interpreter:
             value_acc = self._operand(instruction.value)
             load = self.process.memory.load
 
-            def run(frame: Dict[str, int]):
+            def run(frame: Dict[str, int]) -> None:
                 cycles.user += cost
                 buf_addr = buf(frame)
                 token = load(buf_addr)
@@ -1059,7 +588,7 @@ class Interpreter:
         # fail closed when it runs.
         opname = instruction.opname
 
-        def run(frame: Dict[str, int]):
+        def run(frame: Dict[str, int]) -> None:
             raise ProgramCrash(f"unknown instruction {opname}")
         return run
 
@@ -1067,7 +596,7 @@ class Interpreter:
 
     def _do_call(self, caller: ir.Function, call: ir.Instruction,
                  frame: Dict[str, int], callee: ir.Function,
-                 args: List[int]):
+                 args: List[int]) -> None:
         self._charge("call")
         if self.options.safe_stack:
             self.process.cycles.charge_user(
@@ -1091,22 +620,14 @@ class Interpreter:
             result = self._exec_function(callee, args,
                                          return_address=return_address,
                                          ret_slot=ret_slot)
-        except _LongjmpUnwind as unwind:
-            if unwind.token in self._setjmp_points:
-                setjmp_instr, _ = self._setjmp_points[unwind.token]
-                if setjmp_instr.block is not None and \
-                        setjmp_instr.block.function is caller:
-                    # Land back at our setjmp.
-                    self._release_ret_slot(ret_slot)
-                    return ("setjmp_resume", (setjmp_instr, unwind.value))
+        except _LongjmpUnwind:
+            # Unwinding to the activation that ran the setjmp.
             self._release_ret_slot(ret_slot)
             raise
         finally:
             self.call_stack.pop()
         self._release_ret_slot(ret_slot)
-        if isinstance(call, (ir.Call, ir.ICall)):
-            frame[call.name] = result
-        return None
+        frame[call.name] = result
 
     def _release_ret_slot(self, ret_slot: int) -> None:
         if self.options.safe_stack and self.safe_sp is not None \
@@ -1121,23 +642,6 @@ class Interpreter:
         if callee is None or callee.is_declaration:
             raise ProgramCrash(f"control transferred to non-code {address:#x}")
         self._exec_function(callee, [0] * len(callee.params))
-
-    # -- evaluation --------------------------------------------------------------------
-
-    def _eval(self, value: ir.Value, frame: Dict[str, int]) -> int:
-        if isinstance(value, ir.Constant):
-            return value.value
-        if isinstance(value, ir.FunctionRef):
-            return self.image.function_address[value.function.name]
-        if isinstance(value, ir.GlobalVariable):
-            if value.address is None:
-                raise ProgramCrash(f"global {value.name} not loaded")
-            return value.address
-        if isinstance(value, (ir.Argument, ir.Instruction)):
-            if value.name not in frame:
-                raise ProgramCrash(f"use of undefined value {value.name}")
-            return frame[value.name]
-        raise ProgramCrash(f"cannot evaluate {value!r}")
 
     def _float_binop(self, op: str, lhs: int, rhs: int) -> int:
         """Fixed-point float model (values scaled by 2^16).

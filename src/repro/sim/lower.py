@@ -1,33 +1,33 @@
 """Lowering pass: IR functions → :class:`repro.sim.vm.CompiledFunction`.
 
-The compile tier of the interpreter.  A function is lowered whole-hog
-into one flat opcode stream: SSA values get register indices from the
-stable :meth:`repro.compiler.ir.Function.value_numbering`, constants and
-resolved addresses are materialized into read-only registers at the
-tail of the register file, and jump targets are absolute code indices.
+The interpreter runs every function as lowered here.  A function is
+lowered whole into one flat opcode stream: SSA values get register
+indices from the stable :meth:`repro.compiler.ir.Function.value_numbering`,
+constants and resolved addresses are materialized into read-only
+registers at the tail of the register file, and jump targets are
+absolute code indices.
 
-**Exactness is the design constraint, speed the payoff.**  The lowered
-code must be bit-equivalent to the closure tier in
-:mod:`repro.sim.cpu`, so this pass mirrors its decode decisions
-one-for-one:
+**Exactness is the design constraint, speed the payoff.**  Step counts,
+cycle charges (fused groups charge one in-order float sum) and crash
+messages are pinned by the committed goldens (``tests/vm_goldens.json``):
 
-* fused straight-line groups use the same fusable-class test and charge
-  the same in-order float cost sum (float addition is non-associative;
-  the group total is accumulated here in decode order);
-* instructions the flat encoding cannot express exactly — calls,
-  syscalls, runtime callouts, heap management — become escape bridges
-  that reuse ``Interpreter._decode_single``'s own closures;
-* anything whose semantics the VM cannot *prove* it preserves rejects
-  the whole function back to the closure tier: ``setjmp``/``longjmp``
-  (resumable control), unknown instruction subclasses, operands from
-  other functions, unresolved globals/function refs, and any value the
-  compile-time definedness analysis cannot show is assigned on every
-  path (the closure tier raises ``use of undefined value`` lazily; the
-  VM has no undefined state, so it only runs code where that crash is
-  impossible).
+* straight-line runs of side-effect-free instructions fuse into one
+  stepped group, often compiled to a kernel superinstruction;
+* calls, syscalls, runtime callouts, heap management and ``longjmp``
+  become escape bridges to ``Interpreter._decode_single``'s handlers;
+* ``setjmp`` is native (``OP_SETJMP``); a landed ``longjmp`` resumes
+  just after it;
+* a read the must-defined dataflow cannot prove — a parameter a short
+  call left out, a value assigned on one branch only — is a checked
+  read (``OP_CHECK``) of the register's :class:`~repro.sim.vm.Undefined`
+  sentinel, placed where the instruction reads the operand, so ``use of
+  undefined value NAME`` surfaces at the same step and cycle;
+* malformed IR (an unknown instruction, a GEP to a missing field, a
+  reference to a function or global outside the image) lowers to the
+  crash it raises when run.
 
-Rejection returns ``None``; the interpreter then runs the function on
-the closure path forever (cached per ``(function, prot_epoch)``).
+A call with ``nargs`` arguments, fewer than the parameters, runs a
+variant lowered with the missing parameters undefined.
 """
 
 from __future__ import annotations
@@ -38,26 +38,22 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.compiler import ir
 from repro.compiler.types import PointerType
 from repro.sim import vm
+from repro.sim.cpu import ProgramCrash
 from repro.sim.cycles import OP_COSTS
 from repro.sim.memory import WORD_SIZE
 
-#: Mirrors ``Interpreter._decode_fusable``'s dispatch: exact classes
-#: only — subclasses are unknown instructions there, which crash when
-#: run, so they reject the function here.
+#: Exact classes only, as in the escape handlers' dispatch: subclasses
+#: are unknown instructions, which crash when run.
 _FUSABLE = (ir.BinOp, ir.Cmp, ir.Load, ir.Store, ir.Gep, ir.Cast,
             ir.Select, ir.Alloca)
-
-#: Instructions bridged to the closure tier's decoded handler (deopt).
-_ESCAPED = (ir.Call, ir.ICall, ir.RuntimeCall, ir.Malloc, ir.Free,
-            ir.Realloc, ir.MemCopy, ir.MemSet, ir.Syscall)
 
 #: Escaped instructions that write their result into the frame.
 _ESCAPE_DEFINES = (ir.Call, ir.ICall, ir.RuntimeCall, ir.Malloc,
                    ir.Realloc, ir.Syscall)
 
-#: Instruction classes that define a frame value on the closure path.
+#: Instruction classes that assign their value when they run.
 _DEFINING = (ir.Alloca, ir.Load, ir.Gep, ir.Cast, ir.BinOp, ir.Cmp,
-             ir.Select) + _ESCAPE_DEFINES
+             ir.Select, ir.Setjmp) + _ESCAPE_DEFINES
 
 _BINOP_OPS = {
     "add": vm.OP_ADD, "sub": vm.OP_SUB, "mul": vm.OP_MUL,
@@ -103,55 +99,84 @@ _READS_23 = frozenset(_KERNEL_BINOP_SYM) | frozenset(_KERNEL_CMP_SYM) | \
 _KERNELS: Dict[bytes, Callable] = {}
 
 
-class _Reject(Exception):
-    """Internal: this function cannot be lowered exactly."""
+def lower_function(interp, function: ir.Function,
+                   nargs: Optional[int] = None) -> vm.CompiledFunction:
+    """Lower ``function`` for ``interp``; with ``nargs``, the variant
+    for calls that pass only the first ``nargs`` parameters."""
+    return _Lowering(interp, function, nargs).build()
 
 
-def lower_function(interp, function: ir.Function) -> Optional[vm.CompiledFunction]:
-    """Lower ``function`` for ``interp``, or None if it must stay on
-    the closure tier."""
-    try:
-        return _Lowering(interp, function).build()
-    except _Reject:
-        return None
+def _drop_undefined(run: Callable, names: Tuple[str, ...]) -> Callable:
+    """Wrap an escape handler so an operand whose register still holds
+    its :class:`~repro.sim.vm.Undefined` sentinel is absent from the
+    frame dict: the handler's own lookup then raises ``use of undefined
+    value`` at the point where it reads the operand."""
+    def checked(frame: Dict[str, int]) -> None:
+        for name in names:
+            if frame[name].__class__ is vm.Undefined:
+                del frame[name]
+        run(frame)
+    return checked
 
 
 class _Lowering:
-    def __init__(self, interp, function: ir.Function) -> None:
+    def __init__(self, interp, function: ir.Function,
+                 nargs: Optional[int] = None) -> None:
         self.interp = interp
         self.function = function
+        self.nargs = len(function.params) if nargs is None else nargs
         self.factor = interp.options.register_pressure_factor
         self.numbering = function.value_numbering()
         self.n_dyn = len(self.numbering)
-        self.const_regs: Dict[int, int] = {}
-        self.const_values: List[int] = []
+        #: Constant pool: an int's value, or an ``(error, args)`` key
+        #: for an :class:`~repro.sim.vm.Undefined` crash constant.
+        self.const_regs: Dict[object, int] = {}
+        self.const_values: List[object] = []
         self.code: List[int] = []
         self.costs: List[float] = []
         self.cost_index: Dict[float, int] = {}
-        self.strs: List[str] = []
-        self.str_index: Dict[str, int] = {}
         self.escapes: List[tuple] = []
+        self.setjmps: List[tuple] = []
         #: Per kernel superinstruction: the fused-group body op lists it
         #: replaces (compiled to Python in ``_compile_kernels``).
         self.kernel_bodies: List[List[List[int]]] = []
         self.obs_entries: List[Tuple[str, str, int]] = []
         self.observed = interp.observer is not None
+        #: Per block: its ``obs_entries`` index (observed runs only).
+        self.block_obs: Dict[int, int] = {}
         #: (code index, source block, target block) branch fixups.
         self.fixups: List[Tuple[int, ir.BasicBlock, ir.BasicBlock]] = []
+        #: Registers a conditional branch must check on its true edge,
+        #: per (source, target) edge: an Undefined condition is truthy.
+        self.edge_checks: Dict[Tuple[int, int], List[int]] = {}
         self.block_pc: Dict[int, int] = {}
         self.leading_phis: Dict[int, List[ir.Phi]] = {}
         #: Bitmask over ``numbering`` indices of the values defined so
         #: far on every path into the instruction being lowered.
         self.defined = 0
+        #: Registers read since the last reset that ``_reg`` could not
+        #: prove defined, in read order: each needs an ``OP_CHECK``.
+        self.checks: List[int] = []
+        #: Whether any read of a register is checked, so unassigned
+        #: registers must hold Undefined sentinels rather than 0.
+        self.unproven = False
 
     # -- pools ---------------------------------------------------------------
 
-    def _const_reg(self, value: int) -> int:
-        reg = self.const_regs.get(value)
+    def _const_reg(self, value: int, key: object = None) -> int:
+        key = value if key is None else key
+        reg = self.const_regs.get(key)
         if reg is None:
             reg = self.n_dyn + len(self.const_values)
-            self.const_regs[value] = reg
+            self.const_regs[key] = reg
             self.const_values.append(value)
+        return reg
+
+    def _crash(self, error: type, *args: object) -> int:
+        """A constant whose checked read raises ``error(*args)``; the
+        read is queued in ``checks``."""
+        reg = self._const_reg(vm.Undefined(error, *args), (error, args))
+        self.checks.append(reg)
         return reg
 
     def _cost(self, cost: float) -> int:
@@ -162,75 +187,67 @@ class _Lowering:
             self.costs.append(cost)
         return index
 
-    def _str(self, text: str) -> int:
-        index = self.str_index.get(text)
-        if index is None:
-            index = len(self.strs)
-            self.str_index[text] = index
-            self.strs.append(text)
-        return index
+    def _checked(self, body: List[int]) -> List[int]:
+        """``body`` preceded by the queued checks (which it clears)."""
+        prefix: List[int] = []
+        for reg in self.checks:
+            prefix.append(vm.OP_CHECK)
+            prefix.append(reg)
+        self.checks = []
+        return prefix + body
 
     # -- operands ------------------------------------------------------------
 
-    def _is_local(self, value: ir.Value) -> bool:
-        """True for SSA values of *this* function (register-resident)."""
-        if isinstance(value, ir.Argument):
-            return value.function is self.function
-        if isinstance(value, ir.Instruction):
-            return value.block is not None and \
-                value.block.function is self.function
-        return False
-
-    def _reg(self, value: ir.Value, check_defined: bool = True) -> int:
-        """Register index for an operand; rejects what the closure
-        tier's ``_operand`` would resolve differently or lazily."""
+    def _reg(self, value: ir.Value) -> int:
+        """Register index for an operand.  SSA values resolve by name in
+        this function's frame, as the escape handlers look them up; a
+        read the flow cannot prove defined, or of an operand that cannot
+        be resolved, is queued in ``checks``."""
+        if isinstance(value, (ir.Argument, ir.Instruction)):
+            reg = self.numbering.get(value.name)
+            if reg is None:
+                return self._crash(ProgramCrash,
+                                   f"use of undefined value {value.name}")
+            if not self.defined >> reg & 1:
+                self.checks.append(reg)
+                self.unproven = True
+            return reg
         if isinstance(value, ir.Constant):
             return self._const_reg(value.value)
         if isinstance(value, ir.FunctionRef):
             address = self.interp.image.function_address.get(
                 value.function.name)
             if address is None:
-                raise _Reject  # closure path raises KeyError lazily
+                return self._crash(KeyError, value.function.name)
             return self._const_reg(address)
         if isinstance(value, ir.GlobalVariable):
             if value.address is None:
-                raise _Reject  # closure path crashes lazily on use
+                return self._crash(ProgramCrash,
+                                   f"global {value.name} not loaded")
             return self._const_reg(value.address)
-        if self._is_local(value):
-            reg = self.numbering[value.name]
-            if check_defined and not self.defined >> reg & 1:
-                raise _Reject  # cannot prove defined on this path
-            return reg
-        raise _Reject  # foreign or unevaluable operand
+        return self._crash(ProgramCrash, f"cannot evaluate {value!r}")
 
     # -- analysis ------------------------------------------------------------
 
     def _scan(self) -> None:
-        function = self.function
-        if function.returns_twice:
-            raise _Reject
-        supported = _FUSABLE + _ESCAPED + (ir.Br, ir.CondBr, ir.Ret, ir.Phi)
-        for block in function.blocks:
+        for block in self.function.blocks:
             phis: List[ir.Phi] = []
             for instruction in block.instructions:
-                if type(instruction) is ir.Phi:
+                if isinstance(instruction, ir.Phi):
                     phis.append(instruction)
                 else:
                     break
             self.leading_phis[id(block)] = phis
-            for instruction in block.instructions:
-                if type(instruction) not in supported:
-                    raise _Reject
 
     def _flow(self) -> Dict[int, int]:
         """Definedness dataflow: the values assigned on *every* path to
         each block's entry, as bitmasks over ``numbering`` indices.
-        Params and all alloca slots are defined at frame setup (both
-        tiers assign them up front)."""
+        The passed parameters and all alloca slots are defined at frame
+        setup."""
         function = self.function
         numbering = self.numbering
         base = 0
-        for param in function.params:
+        for param in function.params[:self.nargs]:
             base |= 1 << numbering[param.name]
 
         defs: Dict[int, int] = {}
@@ -302,13 +319,18 @@ class _Lowering:
                 alloca_bytes += max(instruction.allocated_type.size(),
                                     WORD_SIZE)
 
-        template = [0] * self.n_dyn + self.const_values
+        if self.unproven:
+            registers = [vm.Undefined(ProgramCrash, f"use of undefined value {name}")
+                         for name in self.numbering]
+        else:
+            registers = [0] * self.n_dyn  # every read is proven assigned
+        template = registers + self.const_values
         param_regs = [self.numbering[param.name]
                       for param in function.params]
         kernels = self._compile_kernels()
         return vm.CompiledFunction(
             function.name, code, self.costs, template, param_regs,
-            alloca_bytes, alloca_slots, self.escapes, self.strs,
+            alloca_bytes, alloca_slots, self.escapes, self.setjmps,
             self.obs_entries, len(function.blocks), kernels)
 
     def _emit_block(self, block: ir.BasicBlock) -> None:
@@ -318,12 +340,13 @@ class _Lowering:
         obs_index = -1
         if self.observed:
             obs_index = len(self.obs_entries)
+            self.block_obs[id(block)] = obs_index
             self.obs_entries.append((self.function.name, block.name, 0))
             code.append(vm.OP_OBS)
             code.append(obs_index)
 
         entries = 0
-        pending: List[Tuple[List[int], float, ir.Instruction]] = []
+        pending: List[Tuple[List[int], float, bool]] = []
 
         def flush() -> None:
             nonlocal entries
@@ -336,9 +359,8 @@ class _Lowering:
                 code.append(self._cost(cost))
                 code.extend(body)
             else:
-                # The group total is an in-order float sum, matching the
-                # closure tier's accumulation exactly (float addition is
-                # not associative).
+                # The group total is an in-order float sum (float
+                # addition is not associative).
                 total = 0.0
                 for _, cost, _ in pending:
                     total += cost
@@ -347,12 +369,12 @@ class _Lowering:
                 code.append(self._cost(total))
                 bodies = [body for body, _, _ in pending if body]
                 if len(bodies) >= _KERNEL_MIN_BODIES and \
-                        all(body[0] != vm.OP_CRASH for body in bodies):
+                        not any(checked for _, _, checked in pending):
                     # Superinstruction: the whole straight-line body runs
                     # as one generated-Python kernel.  Steps and cycles
                     # were already charged by the OP_STEPN header, and no
-                    # on_step hook can fire mid-group on either tier, so
-                    # the kernel only has to reproduce the dataflow.
+                    # on_step hook can fire mid-group, so the kernel only
+                    # has to reproduce the dataflow.
                     code.append(vm.OP_KERNEL)
                     code.append(len(self.kernel_bodies))
                     self.kernel_bodies.append(bodies)
@@ -364,13 +386,11 @@ class _Lowering:
         for instruction in block.instructions:
             if isinstance(instruction, ir.Phi):
                 # Leading phis become edge copies; stray non-leading
-                # phis are skipped (and define nothing), exactly as the
-                # closure decode skips them.
+                # phis are skipped and define nothing.
                 continue
             cls = type(instruction)
             if cls in _FUSABLE:
-                body, cost = self._lower_fusable(instruction)
-                pending.append((body, cost, instruction))
+                pending.append(self._lower_fusable(instruction))
                 if isinstance(instruction, _DEFINING):
                     self.defined |= 1 << self.numbering[instruction.name]
                 continue
@@ -383,6 +403,13 @@ class _Lowering:
                 code.append(-1)
             elif cls is ir.CondBr:
                 cond = self._reg(instruction.cond)
+                if self.checks:
+                    # An Undefined condition is truthy: the true edge
+                    # checks it after the branch's step and charge.
+                    self.edge_checks.setdefault(
+                        (id(block), id(instruction.if_true)), []).extend(
+                            self.checks)
+                    self.checks = []
                 code.append(vm.OP_JNZ)
                 code.append(self._cost(OP_COSTS.get("br", 1.0) * self.factor))
                 code.append(cond)
@@ -393,26 +420,36 @@ class _Lowering:
             elif cls is ir.Ret:
                 value_reg = self._const_reg(0) if instruction.value is None \
                     else self._reg(instruction.value)
-                code.append(vm.OP_RET)
+                code.append(vm.OP_RETC if self.checks else vm.OP_RET)
                 code.append(value_reg)
+                self.checks = []
+            elif cls is ir.Setjmp:
+                code.append(vm.OP_STEP1C)
+                code.append(self._cost(OP_COSTS.get("setjmp", 1.0) * self.factor))
+                buf = self._reg(instruction.buf)
+                dest = self.numbering[instruction.name]
+                code.extend(self._checked([vm.OP_SETJMP, buf, len(self.setjmps)]))
+                self.setjmps.append((self.function, instruction, dest))
+                self.defined |= 1 << dest
             else:
                 self._emit_escape(instruction)
                 if isinstance(instruction, _ESCAPE_DEFINES):
                     self.defined |= 1 << self.numbering[instruction.name]
         flush()
         if block.terminator is None:
-            # The closure tier raises this lazily when a malformed block
-            # runs off its end; preserve the exact message.
-            code.append(vm.OP_CRASH)
-            code.append(self._str(
-                f"block {self.function.name}:{block.name} fell through"))
+            # A malformed block runs off its end when it runs.
+            self._crash(ProgramCrash,
+                        f"block {self.function.name}:{block.name} fell through")
+            code.extend(self._checked([]))
         if obs_index >= 0:
             name, bname, _ = self.obs_entries[obs_index]
             self.obs_entries[obs_index] = (name, bname, entries)
 
-    def _lower_fusable(self, instruction: ir.Instruction) -> Tuple[List[int], float]:
-        """Body ops + cycle cost for one fusable instruction, mirroring
-        ``Interpreter._decode_fusable`` case by case."""
+    def _lower_fusable(self, instruction: ir.Instruction
+                       ) -> Tuple[List[int], float, bool]:
+        """Body ops, cycle cost, and whether the body checks a read, for
+        one fusable instruction.  Operands are read in the order the
+        instruction evaluates them, so the first undefined one raises."""
         factor = self.factor
         cls = type(instruction)
         if cls is ir.BinOp:
@@ -422,91 +459,103 @@ class _Lowering:
             if opcode is not None:
                 lhs = self._reg(instruction.lhs)
                 rhs = self._reg(instruction.rhs)
-                dest = self.numbering[instruction.name]
-                return [opcode, dest, lhs, rhs], cost
-            if op in _FOP_INDEX:
+                body = [opcode, self.numbering[instruction.name], lhs, rhs]
+            elif op in _FOP_INDEX:
                 lhs = self._reg(instruction.lhs)
                 rhs = self._reg(instruction.rhs)
-                dest = self.numbering[instruction.name]
-                return [vm.OP_FBIN, dest, _FOP_INDEX[op], lhs, rhs], cost
-            return [vm.OP_CRASH, self._str(f"unknown binop {op}")], cost
-        if cls is ir.Cmp:
+                body = [vm.OP_FBIN, self.numbering[instruction.name],
+                        _FOP_INDEX[op], lhs, rhs]
+            else:
+                self._crash(ProgramCrash, f"unknown binop {op}")
+                body = []
+        elif cls is ir.Cmp:
             cost = OP_COSTS.get("cmp", 1.0) * factor
             opcode = _CMP_OPS.get(instruction.op)
             if opcode is None:
-                return [vm.OP_CRASH,
-                        self._str(f"unknown comparison {instruction.op}")], \
-                    cost
-            lhs = self._reg(instruction.lhs)
-            rhs = self._reg(instruction.rhs)
-            dest = self.numbering[instruction.name]
-            return [opcode, dest, lhs, rhs], cost
-        if cls is ir.Load:
+                self._crash(ProgramCrash,
+                            f"unknown comparison {instruction.op}")
+                body = []
+            else:
+                lhs = self._reg(instruction.lhs)
+                rhs = self._reg(instruction.rhs)
+                body = [opcode, self.numbering[instruction.name], lhs, rhs]
+        elif cls is ir.Load:
             cost = OP_COSTS.get("load", 1.0) * factor
             pointer = self._reg(instruction.pointer)
-            dest = self.numbering[instruction.name]
-            return [vm.OP_LOAD, dest, pointer], cost
-        if cls is ir.Store:
+            body = [vm.OP_LOAD, self.numbering[instruction.name], pointer]
+        elif cls is ir.Store:
             cost = OP_COSTS.get("store", 1.0) * factor
             pointer = self._reg(instruction.pointer)
             value = self._reg(instruction.value)
-            return [vm.OP_STORE, pointer, value], cost
-        if cls is ir.Gep:
-            return self._lower_gep(instruction)
-        if cls is ir.Cast:
+            body = [vm.OP_STORE, pointer, value]
+        elif cls is ir.Gep:
+            cost = OP_COSTS.get("gep", 1.0) * factor
+            body = self._lower_gep(instruction)
+        elif cls is ir.Cast:
             cost = OP_COSTS.get("cast", 1.0) * factor
             value = self._reg(instruction.value)
-            dest = self.numbering[instruction.name]
-            return [vm.OP_MOV, dest, value], cost
-        if cls is ir.Select:
+            body = [vm.OP_MOV, self.numbering[instruction.name], value]
+        elif cls is ir.Select:
             cost = OP_COSTS.get("select", 1.0) * factor
             cond = self._reg(instruction.cond)
+            checked = len(self.checks)
             if_true = self._reg(instruction.if_true)
             if_false = self._reg(instruction.if_false)
             dest = self.numbering[instruction.name]
-            return [vm.OP_SELECT, dest, cond, if_true, if_false], cost
-        # Alloca: address preloaded at frame entry; the group still
-        # counts its step and charges its cost, but no body op runs.
-        cost = OP_COSTS.get("alloca", 1.0) * factor
-        return [], cost
+            body = [vm.OP_SELECT, dest, cond, if_true, if_false]
+            if len(self.checks) > checked:
+                # Only the chosen operand is read: check what was chosen.
+                del self.checks[checked:]
+                return self._checked(body) + [vm.OP_CHECK, dest], cost, True
+        else:
+            # Alloca: address preloaded at frame entry; the group still
+            # counts its step and charges its cost, but no body op runs.
+            cost = OP_COSTS.get("alloca", 1.0) * factor
+            body = []
+        if self.checks:
+            return self._checked(body), cost, True
+        return body, cost, False
 
-    def _lower_gep(self, instruction: ir.Gep) -> Tuple[List[int], float]:
-        cost = OP_COSTS.get("gep", 1.0) * self.factor
+    def _lower_gep(self, instruction: ir.Gep) -> List[int]:
         base_type = instruction.pointer.type
         pointee = base_type.pointee \
             if isinstance(base_type, PointerType) else None
         dest = self.numbering[instruction.name]
         if instruction.field is not None:
             if pointee is None or not hasattr(pointee, "field_offset"):
-                return [vm.OP_CRASH,
-                        self._str("field gep on non-struct pointer")], cost
+                self._crash(ProgramCrash, "field gep on non-struct pointer")
+                return []
+            base = self._reg(instruction.pointer)
             try:
                 offset = pointee.field_offset(instruction.field)
-            except Exception:
-                raise _Reject from None  # the closure raises it when run
-            base = self._reg(instruction.pointer)
-            return [vm.OP_ADDI, dest, base, offset], cost
+            except Exception as error:
+                # A malformed field raises its lookup error when run.
+                self._crash(type(error), *error.args)
+                return []
+            return [vm.OP_ADDI, dest, base, offset]
         base = self._reg(instruction.pointer)
         index = self._reg(instruction.index)
         element = getattr(pointee, "element", None)
         element_size = element.size() if element is not None else WORD_SIZE
-        return [vm.OP_GEPI, dest, base, index, element_size], cost
+        return [vm.OP_GEPI, dest, base, index, element_size]
 
     def _emit_escape(self, instruction: ir.Instruction) -> None:
-        """Bridge one instruction to the closure tier's own handler."""
+        """Bridge one instruction to its ``Interpreter._decode_single``
+        handler, which reads its operands from a frame dict by name."""
         pairs: List[Tuple[str, int]] = []
+        unproven: List[str] = []
         seen: Set[str] = set()
         for operand in instruction.operands:
-            if not self._is_local(operand):
-                continue  # constants resolve inside the closure
+            if not isinstance(operand, (ir.Argument, ir.Instruction)):
+                continue  # constants resolve inside the handler
             name = operand.name
-            if name in seen:
-                continue
-            reg = self.numbering[name]
-            if not self.defined >> reg & 1:
-                raise _Reject
+            reg = self.numbering.get(name)
+            if reg is None or name in seen:
+                continue  # a name never in the frame: the handler raises
             seen.add(name)
             pairs.append((name, reg))
+            if not self.defined >> reg & 1:
+                unproven.append(name)
         if isinstance(instruction, _ESCAPE_DEFINES):
             result_name: Optional[str] = instruction.name
             result_reg = self.numbering[instruction.name]
@@ -514,59 +563,65 @@ class _Lowering:
             result_name = None
             result_reg = -1
         run = self.interp._decode_single(self.function, instruction)
+        if unproven:
+            run = _drop_undefined(run, tuple(unproven))
+            self.unproven = True
         index = len(self.escapes)
         self.escapes.append((run, tuple(pairs), result_name, result_reg))
         self.code.append(vm.OP_ESC)
         self.code.append(index)
 
     def _emit_edge_stubs(self) -> None:
-        """Phi-edge parallel copies: one stub per CFG edge whose target
-        has leading phis; other edges branch straight to the block."""
+        """One stub per CFG edge that checks a branch condition or
+        copies phis; other edges branch straight to the block.  A stub
+        checks the condition, then each phi's incoming value in phi
+        order, then copies them all at once."""
         code = self.code
         self._edge_pc: Dict[Tuple[int, int], int] = {}
         needed = {(id(source), id(target)): (source, target)
                   for _, source, target in self.fixups}
-        for (source_id, target_id), (source, target) in needed.items():
+        for key, (source, target) in needed.items():
             phis = self.leading_phis[id(target)]
-            if not phis:
-                self._edge_pc[(source_id, target_id)] = \
-                    self.block_pc[id(target)]
+            cond_checks = self.edge_checks.get(key, [])
+            target_pc = self.block_pc[id(target)]
+            if not phis and not cond_checks:
+                self._edge_pc[key] = target_pc
                 continue
+            self._edge_pc[key] = len(code)
+            for reg in cond_checks:
+                code.extend((vm.OP_CHECK, reg))
+            self.defined = self._ins[id(source)] | self._defs[id(source)]
             copies: List[Tuple[int, int]] = []
-            defined_at_exit = self._ins[id(source)] | self._defs[id(source)]
             for phi in phis:
-                source_reg = None
                 for value, pred in phi.incoming:
                     if pred is source:
-                        if self._is_local(value):
-                            source_reg = self.numbering[value.name]
-                            if not defined_at_exit >> source_reg & 1:
-                                raise _Reject
-                        else:
-                            source_reg = self._reg(value,
-                                                   check_defined=False)
+                        source_reg = self._reg(value)
                         break
-                if source_reg is None:
+                else:
                     source_reg = self._const_reg(0)
                 copies.append((source_reg, self.numbering[phi.name]))
-            stub_pc = len(code)
+            if self.checks and self.observed:
+                # The target block's entry is observed before its phis
+                # read their incoming values.
+                code.extend((vm.OP_OBS, self.block_obs[id(target)]))
+                target_pc += 2
+            code.extend(self._checked([]))
             if len(copies) == 1:
                 source_reg, dest_reg = copies[0]
                 code.extend((vm.OP_MOV, dest_reg, source_reg))
-            else:
+            elif copies:
                 code.append(vm.OP_PARCOPY)
                 code.append(len(copies))
                 code.extend(source_reg for source_reg, _ in copies)
                 code.extend(dest_reg for _, dest_reg in copies)
-            code.extend((vm.OP_GOTO, self.block_pc[id(target)]))
-            self._edge_pc[(source_id, target_id)] = stub_pc
+            code.extend((vm.OP_GOTO, target_pc))
 
     # -- kernel superinstructions --------------------------------------------
     #
     # A fused group's body is straight-line and uninterruptible: the
     # OP_STEPN header has already counted every step, charged the whole
     # in-order cycle sum, and fired any due on_step hooks before the
-    # first body op runs — on both tiers.  That leaves pure dataflow,
+    # first body op runs.  That leaves pure dataflow,
     # which we generate per group as a real Python function over local
     # variables (registers read at entry, written back at exit) and
     # compile once per distinct text per process (``_KERNELS``),
@@ -574,8 +629,9 @@ class _Lowering:
     # Constant-pool operands are inlined as literals; registers never
     # read outside the kernel skip the write-back.  Partially updated
     # registers after a mid-kernel raise (division by zero, memory
-    # fault) are unobservable: the frame dies with the exception on
-    # both tiers, and steps/cycles were finalized at the header.
+    # fault) are unobservable: the frame dies with the exception, and
+    # steps/cycles were finalized at the header.  A group that checks a
+    # read stays flat, so each check runs between the right body ops.
 
     def _kernel_spec(self, bodies: List[List[int]]):
         """Statements + entry-read and written register orders for one
@@ -654,8 +710,8 @@ class _Lowering:
                 stmts.append(
                     f"    {define(body[1])} = "
                     f"fbin({vm.FOPS[body[2]]!r}, {a}, {b})")
-            else:  # pragma: no cover - flush() filters OP_CRASH bodies
-                raise _Reject
+            else:  # pragma: no cover - flush() keeps checks out
+                raise AssertionError(f"no kernel form for opcode {op}")
         return stmts, entry, written
 
     def _regs_read_outside_kernels(self) -> Set[int]:
@@ -707,10 +763,13 @@ class _Lowering:
                 for position in range(count):
                     reads.add(code[pc + 2 + position])
                 pc += 2 + 2 * count
-            elif op == vm.OP_RET:
+            elif op == vm.OP_RET or op == vm.OP_RETC or op == vm.OP_CHECK:
                 reads.add(code[pc + 1])
                 pc += 2
-            else:  # OP_GOTO / OP_ESC / OP_OBS / OP_CRASH / OP_KERNEL
+            elif op == vm.OP_SETJMP:
+                reads.add(code[pc + 1])
+                pc += 3
+            else:  # OP_GOTO / OP_ESC / OP_OBS / OP_KERNEL
                 pc += 2
         for _, pairs, _, _ in self.escapes:
             for _, reg in pairs:

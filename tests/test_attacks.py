@@ -1,10 +1,7 @@
 """Tests for the RIPE attack suite (repro.attacks.ripe)."""
 
-import functools
-
 import pytest
 
-from repro.attacks import ripe
 from repro.attacks.ripe import (
     Attack,
     FAMILY_COUNTS,
@@ -15,24 +12,6 @@ from repro.attacks.ripe import (
     family_count,
     run_attack,
 )
-from repro.core.framework import run_program
-
-
-def use_tier(monkeypatch, tier):
-    """Make :func:`run_attack` run its victim on interpreter ``tier``."""
-    monkeypatch.setattr(ripe, "run_program", functools.partial(
-        run_program, exec_option_overrides={"interp_tier": tier}))
-
-
-class OnTier:
-    """Runs a class's attacks on :attr:`tier`, the default VM tier; a
-    subclass at the end of this file sets ``tier = "closure"``."""
-
-    tier = "vm"
-
-    @pytest.fixture(autouse=True)
-    def _on_tier(self, monkeypatch):
-        use_tier(monkeypatch, self.tier)
 
 
 class TestMatrix:
@@ -82,7 +61,7 @@ class TestVictimConstruction:
             module.functions["legit"].signature
 
 
-class TestAttackOutcomes(OnTier):
+class TestAttackOutcomes:
     """Individual attack/design outcomes that define Table 5's shape.
 
     Full-row verification lives in benchmarks/test_table5_ripe.py; these
@@ -174,7 +153,7 @@ class TestAttackOutcomes(OnTier):
         assert attack_succeeded(result)
 
 
-class TestBoundedAsynchronyProperty(OnTier):
+class TestBoundedAsynchronyProperty:
     def test_evidence_precedes_exploitation(self):
         """The check message is sent before the corrupt icall executes,
         so even total compromise cannot retract it (section 2.2)."""
@@ -182,12 +161,3 @@ class TestBoundedAsynchronyProperty(OnTier):
         result = run_attack(attack, "hq-sfestk")
         assert result.violations  # evidence arrived
         assert not result.win_executed  # side effect prevented
-
-
-# The attacks above, again on the closure tier.
-class TestAttackOutcomesClosure(TestAttackOutcomes):
-    tier = "closure"
-
-
-class TestBoundedAsynchronyPropertyClosure(TestBoundedAsynchronyProperty):
-    tier = "closure"

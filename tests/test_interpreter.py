@@ -25,15 +25,11 @@ def simple_main():
     return module, mainf, IRBuilder(mainf.add_block("entry"))
 
 
-class OnTier:
-    """Runs a class's programs on :attr:`tier`, the default VM tier; a
-    subclass at the end of this file sets ``tier = "closure"`` to run
-    the same tests on the closure tier."""
-
-    tier = "vm"
+class RunsPrograms:
+    """Builds an interpreter for a module and runs its ``main``."""
 
     def options(self, **knobs):
-        return ExecOptions(interp_tier=self.tier, **knobs)
+        return ExecOptions(**knobs)
 
     def run_main(self, module, options=None):
         module.verify()
@@ -43,7 +39,7 @@ class OnTier:
         return result, interpreter
 
 
-class TestArithmetic(OnTier):
+class TestArithmetic(RunsPrograms):
     @pytest.mark.parametrize("op,lhs,rhs,expected", [
         ("add", 3, 4, 7), ("sub", 9, 4, 5), ("mul", 6, 7, 42),
         ("div", 17, 5, 3), ("rem", 17, 5, 2), ("and", 0b1100, 0b1010, 0b1000),
@@ -97,7 +93,7 @@ class TestArithmetic(OnTier):
         assert lossy != exact
 
 
-class TestControlFlow(OnTier):
+class TestControlFlow(RunsPrograms):
     def test_loop_with_phis(self):
         module, mainf, b = simple_main()
         entry = mainf.entry
@@ -151,7 +147,7 @@ class TestControlFlow(OnTier):
             Interpreter(image, options=self.options()).run("main")
 
 
-class TestCallsAndMemory(OnTier):
+class TestCallsAndMemory(RunsPrograms):
     def test_direct_call_passes_args(self):
         module = ir.Module()
         callee = module.add_function("callee", func(I64, [I64, I64]))
@@ -201,6 +197,51 @@ class TestCallsAndMemory(OnTier):
         fake = b.cast(b.const(0xDEAD_0000), ptr(func(I64, [])))
         b.ret(b.icall(fake, [], func(I64, [])))
         with pytest.raises(ProgramCrash):
+            self.run_main(module)
+
+    @staticmethod
+    def _short_call_module(body):
+        """main calls ``callee(a, b)`` with only ``a`` = 10."""
+        module = ir.Module()
+        callee = module.add_function("callee", func(I64, [I64, I64]))
+        cb = IRBuilder(callee.add_block("entry"))
+        cb.ret(body(cb, *callee.params))
+        mainf = module.add_function("main", func(I64, []))
+        b = IRBuilder(mainf.add_block("entry"))
+        b.ret(b.call(callee, [b.const(10)]))
+        return module
+
+    def test_missing_argument_call_runs_on_the_vm(self):
+        module = self._short_call_module(
+            lambda b, a, _: b.add(a, b.const(1)))
+        result, interpreter = self.run_main(module)
+        assert result == 11
+        callee = module.functions["callee"]
+        # The short call ran a variant lowered for one argument.
+        assert (id(callee), 1) in interpreter._vm_cache
+        assert id(callee) not in interpreter._vm_cache
+
+    def test_reading_a_missing_parameter_raises(self):
+        module = self._short_call_module(lambda b, a, missing: b.add(
+            b.mul(a, b.const(2)), missing))
+        missing = module.functions["callee"].params[1].name
+        with pytest.raises(ProgramCrash,
+                           match=f"^use of undefined value {missing}$"):
+            self.run_main(module)
+
+    def test_short_call_after_a_full_call_reads_undefined(self):
+        """The full call's lowering must not serve the short call."""
+        module = ir.Module()
+        callee = module.add_function("callee", func(I64, [I64, I64]))
+        cb = IRBuilder(callee.add_block("entry"))
+        cb.ret(cb.add(*callee.params))
+        mainf = module.add_function("main", func(I64, []))
+        b = IRBuilder(mainf.add_block("entry"))
+        full = b.call(callee, [b.const(10), b.const(5)])
+        b.ret(b.add(full, b.call(callee, [b.const(10)])))
+        missing = callee.params[1].name
+        with pytest.raises(ProgramCrash,
+                           match=f"^use of undefined value {missing}$"):
             self.run_main(module)
 
     def test_call_to_declaration_crashes(self):
@@ -277,7 +318,7 @@ class TestCallsAndMemory(OnTier):
         assert interpreter.output == [1234]
 
 
-class TestSetjmpLongjmp(OnTier):
+class TestSetjmpLongjmp(RunsPrograms):
     def _build(self):
         """main: if setjmp(buf) == 0: helper(buf) else: return 42."""
         module = ir.Module()
@@ -303,6 +344,69 @@ class TestSetjmpLongjmp(OnTier):
         module, _ = self._build()
         result, _ = self.run_main(module)
         assert result == 42
+
+    def test_longjmp_lands_in_the_activation_that_ran_the_setjmp(self):
+        """f's outer activation runs setjmp; its recursive inner
+        activation calls g, which longjmps.  Control must land in the
+        outer activation (105), not in the nearest activation of f
+        (whose result the outer one would return minus one: 104)."""
+        module = ir.Module()
+        g = module.add_function("g", func(I64, [ptr(I64)]))
+        gb = IRBuilder(g.add_block("entry"))
+        gb.longjmp(g.params[0], gb.const(5))
+        f = module.add_function("f", func(I64, [I64, ptr(I64)]))
+        entry, outer, first, landed, inner = (
+            f.add_block(name)
+            for name in ("entry", "outer", "first", "landed", "inner"))
+        b = IRBuilder(entry)
+        buf = b.alloca(ArrayType(I64, 2), "jmpbuf")
+        b.cond_br(b.cmp("eq", f.params[0], b.const(0)), outer, inner)
+        b.position_at_end(outer)
+        token = b.setjmp(buf)
+        b.cond_br(b.cmp("eq", token, b.const(0)), first, landed)
+        b.position_at_end(first)
+        nested = b.call(f, [b.const(1), b.cast(buf, ptr(I64))])
+        b.ret(b.sub(nested, b.const(1)))
+        b.position_at_end(landed)
+        b.ret(b.add(token, b.const(100)))
+        b.position_at_end(inner)
+        b.call(g, [f.params[1]])
+        b.ret(b.const(-1))
+        mainf = module.add_function("main", func(I64, []))
+        b = IRBuilder(mainf.add_block("entry"))
+        b.ret(b.call(f, [b.const(0), b.cast(b.const(0), ptr(I64))]))
+        result, interpreter = self.run_main(module)
+        assert result == 105
+        assert interpreter.call_stack == []
+
+    def test_longjmp_in_the_setjmp_activation_resumes_there(self):
+        module, mainf, b = simple_main()
+        first = mainf.add_block("first")
+        landed = mainf.add_block("landed")
+        buf = b.alloca(ArrayType(I64, 2), "jmpbuf")
+        token = b.setjmp(buf)
+        b.cond_br(b.cmp("eq", token, b.const(0)), first, landed)
+        b.position_at_end(first)
+        b.longjmp(b.cast(buf, ptr(I64)), b.const(7))
+        b.position_at_end(landed)
+        b.ret(b.add(token, b.const(100)))
+        result, _ = self.run_main(module)
+        assert result == 107
+
+    def test_longjmp_to_a_returned_activation_crashes(self):
+        """The setjmp's activation has returned, so no live activation
+        can take the longjmp: the run fails closed."""
+        module = ir.Module()
+        arm = module.add_function("arm", func(I64, [ptr(I64)]))
+        ab = IRBuilder(arm.add_block("entry"))
+        ab.ret(ab.setjmp(arm.params[0]))
+        mainf = module.add_function("main", func(I64, []))
+        b = IRBuilder(mainf.add_block("entry"))
+        buf = b.cast(b.alloca(ArrayType(I64, 2), "jmpbuf"), ptr(I64))
+        b.call(arm, [buf])
+        b.longjmp(buf, b.const(1))
+        with pytest.raises(ProgramCrash, match="activation has returned"):
+            self.run_main(module)
 
     def test_corrupted_jmpbuf_hijacks(self):
         """Overwriting the jmp_buf internal pointer redirects the
@@ -340,7 +444,7 @@ class TestSetjmpLongjmp(OnTier):
         assert any(h.kind == "longjmp" for h in interpreter.hijacks)
 
 
-class TestReturnAddressMechanics(OnTier):
+class TestReturnAddressMechanics(RunsPrograms):
     def _overflow_module(self, overflow_words):
         """vuln() copies attacker words over its frame, then returns."""
         module = ir.Module()
@@ -447,24 +551,3 @@ class TestSafeStackLayouts:
                 safe_stack=True, aslr=True, seed=seed))
             bases.add(interpreter.safe_stack_base)
         assert len(bases) > 1
-
-
-# The tests above that run programs, again on the closure tier.
-class TestArithmeticClosure(TestArithmetic):
-    tier = "closure"
-
-
-class TestControlFlowClosure(TestControlFlow):
-    tier = "closure"
-
-
-class TestCallsAndMemoryClosure(TestCallsAndMemory):
-    tier = "closure"
-
-
-class TestSetjmpLongjmpClosure(TestSetjmpLongjmp):
-    tier = "closure"
-
-
-class TestReturnAddressMechanicsClosure(TestReturnAddressMechanics):
-    tier = "closure"

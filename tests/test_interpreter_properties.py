@@ -3,9 +3,7 @@
 Random straight-line arithmetic programs and random control-flow
 skeletons are executed both by the simulated CPU and by a direct Python
 evaluation of the same operations; the results must agree exactly.
-Every program runs on both interpreter tiers, the register VM and the
-fused closures, so each example also checks the tiers against each
-other.  This pins the interpreter's semantics independently of the
+This pins the interpreter's semantics independently of the
 hand-written unit tests.
 """
 
@@ -25,14 +23,10 @@ CMP_OPS = ["eq", "ne", "lt", "le", "gt", "ge"]
 
 
 def run_module(module):
-    """``main``'s result, the same on both interpreter tiers."""
+    """``main``'s result on the simulated CPU."""
     module.verify()
-    vm, closure = (
-        Interpreter(Image(module, Process()),
-                    options=ExecOptions(interp_tier=tier)).run("main", [])
-        for tier in ("vm", "closure"))
-    assert vm == closure
-    return vm
+    return Interpreter(Image(module, Process()),
+                       options=ExecOptions()).run("main", [])
 
 
 def python_binop(op, lhs, rhs):

@@ -1,10 +1,11 @@
-"""The compile tier's kernel memo and bitmask definedness (repro.sim.lower).
+"""The lowering's kernel memo and bitmask definedness (repro.sim.lower).
 
 Kernel superinstructions are memoized process-wide by a digest of their
 source text, so identical kernels compile once and serve every
 function, interpreter and process that generates them.  The must-defined
 dataflow runs on int bitmasks over ``value_numbering`` indices; the
-set-based flow it replaced lives on here as the reference.
+set-based flow it replaced lives on here as the reference.  A read the
+flow cannot prove defined is a checked read of an undefined register.
 """
 
 import builtins
@@ -17,7 +18,7 @@ from repro.compiler.builder import IRBuilder
 from repro.compiler.passes.base import PassManager
 from repro.compiler.types import I64, func
 from repro.core.framework import run_program
-from repro.sim import lower
+from repro.sim import lower, vm
 from repro.sim.cpu import ExecOptions, Interpreter, ProgramCrash
 from repro.sim.loader import Image
 from repro.sim.process import Process
@@ -28,13 +29,13 @@ from repro.workloads.profiles import PROFILES, get_profile
 def _load(module, options=None):
     process = Process(name=module.name)
     interp = Interpreter(Image(module, process),
-                         options=options or ExecOptions(interp_tier="vm"))
+                         options=options or ExecOptions())
     return process, interp
 
 
 def _kernels(interp, function):
     compiled = interp._vm_cache[id(function)]
-    assert compiled is not None and compiled.kernels
+    assert compiled.kernels
     return compiled.kernels
 
 
@@ -150,14 +151,14 @@ def _one_branch_module():
     return module
 
 
-def test_value_defined_on_one_branch_rejects_to_the_closure_tier():
+def test_value_defined_on_one_branch_is_a_checked_read():
     module = _one_branch_module()
     main = module.functions["main"]
     _, interp = _load(module)
-    assert lower.lower_function(interp, main) is None
+    assert isinstance(lower.lower_function(interp, main),
+                      vm.CompiledFunction)
     assert interp.run("main", [1]) == 3
-    assert interp._vm_cache[id(main)] is None
-    with pytest.raises(ProgramCrash, match="use of undefined value x"):
+    with pytest.raises(ProgramCrash, match="^use of undefined value x$"):
         interp.run("main", [0])
 
 
@@ -226,36 +227,26 @@ class _SetFlowLowering(lower._Lowering):
         return self._ins
 
 
-def _build(lowering):
-    try:
-        return lowering.build()
-    except lower._Reject:
-        return None
-
-
 def _corpus():
     """Every (profile, design) pair compiled and loaded, then the
-    one-branch module, which the definedness check rejects."""
+    one-branch module, whose read of ``x`` the flow cannot prove."""
     for profile in PROFILES:
         for design in sorted(DESIGNS):
             config = get_design(design)
             module = build_module(profile)
             PassManager(config.passes()).run(module)
-            yield _load(module, config.exec_options(interp_tier="vm"))[1]
+            yield _load(module, config.exec_options())[1]
     yield _load(_one_branch_module())[1]
 
 
 def test_bitmask_flow_matches_the_set_flow_on_the_corpus():
-    functions = accepted = 0
+    functions = 0
     for interp in _corpus():
         for function in interp.image.module.functions.values():
             if function.is_declaration:
                 continue
             lowering = lower._Lowering(interp, function)
-            try:
-                lowering._scan()
-            except lower._Reject:
-                continue
+            lowering._scan()
             numbering = lowering.numbering
             ins = lowering._flow()
             ref_ins, ref_defs = _set_flow(lowering)
@@ -264,10 +255,7 @@ def test_bitmask_flow_matches_the_set_flow_on_the_corpus():
             assert {key: _names(numbering, mask)
                     for key, mask in lowering._defs.items()} == ref_defs
             bitmask = lower.lower_function(interp, function)
-            reference = _build(_SetFlowLowering(interp, function))
-            assert (bitmask is None) == (reference is None)
-            if bitmask is not None:
-                assert bitmask.code == reference.code
-                accepted += 1
+            reference = _SetFlowLowering(interp, function).build()
+            assert bitmask.code == reference.code
             functions += 1
-    assert functions > 1000 and 0 < accepted < functions
+    assert functions > 1000

@@ -1,6 +1,6 @@
 """The timing CLIs under ``repro.bench``: the message-path
-microbenchmark, the interpreter-tier speedup floor, and the pipeline
-timer behind ``python -m repro.bench --timing-report``.
+microbenchmark and the pipeline timer behind ``python -m repro.bench
+--timing-report``.
 
 The load-bearing properties:
 
@@ -10,10 +10,9 @@ The load-bearing properties:
 * no CLI writes a file unless it is given a path, so a run with default
   flags leaves the working directory as it found it;
 * the retired regression-guard options are gone, so a stale invocation
-  fails loudly instead of silently skipping its check;
-* ``--min-speedup`` judges the ratio of one run's own two numbers.
+  fails loudly instead of silently skipping its check.
 
-The heavy steps (suites, interpreter timing, experiments) are stubbed
+The heavy steps (suites, experiments) are stubbed
 wherever the property under test is the CLI's, not the measurement's.
 """
 
@@ -23,7 +22,7 @@ import types
 import pytest
 
 from repro.bench import __main__ as pipeline
-from repro.bench import interp, msgpath, sharding, timing
+from repro.bench import msgpath, sharding, timing
 from repro.bench.timing import SEED_SERIAL_SECONDS, PipelineTimer, best_of
 from repro.core.messages import MESSAGE_WORDS, Op
 from repro.ipc.registry import create_channel
@@ -151,18 +150,14 @@ RETIRED = [
     ("sharding", "--baseline", ["--baseline", "old.json"]),
     ("sharding", "--update-quick", ["--quick", "--update-quick", "o.json"]),
     ("sharding", "--perf-profile", ["--perf-profile", "p.json"]),
-    ("interp", "--update", ["--update"]),
-    ("interp", "--check", ["--check", "old.json"]),
-    ("interp", "--tolerance", ["--tolerance", "0.3"]),
-    ("interp", "--perf-profile", ["--perf-profile", "p.json"]),
     ("bench", "--perf-profile", ["--perf-profile", "p.json"]),
     ("obs", "--perf-profile", ["export", "--perf-profile", "p.json"]),
     ("traffic", "--perf-profile", ["--perf-profile", "p.json"]),
 ]
 
 CLIS = {"msgpath": msgpath.main, "sharding": sharding.main,
-        "interp": interp.main, "bench": pipeline.main,
-        "obs": obs_cli.main, "traffic": traffic_cli.main}
+        "bench": pipeline.main, "obs": obs_cli.main,
+        "traffic": traffic_cli.main}
 
 
 @pytest.mark.parametrize("cli, option, argv", RETIRED,
@@ -172,36 +167,6 @@ def test_retired_option_is_a_usage_error(cli, option, argv, capsys):
         CLIS[cli](argv)
     assert exit_info.value.code == 2
     assert option in capsys.readouterr().err
-
-
-# ---------------------------------------------------------------------------
-# Interpreter-tier floor
-# ---------------------------------------------------------------------------
-
-class TestInterpFloor:
-    @staticmethod
-    def _main(monkeypatch, speedup, *argv):
-        section = {"benchmark": "stub", "steps": 1000, "rounds": 1,
-                   "closure_steps_per_sec": 100,
-                   "vm_steps_per_sec": round(100 * speedup),
-                   "speedup": speedup}
-        monkeypatch.setattr(interp, "run_benchmark", lambda rounds: section)
-        return interp.main(list(argv))
-
-    def test_speedup_above_the_floor_passes(self, monkeypatch, capsys):
-        assert self._main(monkeypatch, 8.6, "--min-speedup", "3.0") == 0
-        assert "speedup floor: ok (8.6x >= 3.0x)" in capsys.readouterr().out
-
-    def test_speedup_below_the_floor_fails(self, monkeypatch, capsys):
-        assert self._main(monkeypatch, 2.1, "--min-speedup", "3.0") == 1
-        assert "speedup floor FAILED" in capsys.readouterr().out
-
-    def test_no_floor_is_checked_by_default(self, monkeypatch, tmp_path,
-                                            capsys):
-        monkeypatch.chdir(tmp_path)
-        assert self._main(monkeypatch, 1.0, "--json") == 0
-        assert json.loads(capsys.readouterr().out)["speedup"] == 1.0
-        assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +238,6 @@ class TestBestOf:
         best = best_of(0, lambda: calls.append(1) or {"msgs_per_sec": 1.0})
         assert calls == [1]
         assert best["rounds"] == 1
-
-    def test_ranks_by_the_given_key(self):
-        values = iter([(9.0, 1.0), (1.0, 2.0)])
-
-        def measure():
-            rate, steps = next(values)
-            return {"msgs_per_sec": rate, "steps_per_sec": steps}
-
-        best = best_of(2, measure, key="steps_per_sec")
-        assert best["steps_per_sec"] == 2.0
 
 
 class TestPipelineCli:

@@ -1,9 +1,8 @@
-"""Compile-tier cache invalidation: ``(process, prot_epoch)`` keying.
+"""Compile-cache invalidation: ``(process, prot_epoch)`` keying.
 
-The interpreter's decode cache (closure tier) and compile cache (VM
-tier) are pure functions of the IR *plus* the execution environment
-they were built against.  Two environment changes can strand stale
-entries:
+The interpreter's compile cache (lowered VM code) is a pure function of
+the IR *plus* the execution environment it was built against.  Two
+environment changes can strand stale entries:
 
 * **mprotect mid-run** — ``Memory.protect_region`` / ``map_region`` /
   ``unmap_region`` bump ``Memory.prot_epoch``; compiled escape bridges
@@ -15,7 +14,10 @@ entries:
 Both are validated on every ``_exec_function`` entry and flushed by
 ``Interpreter.invalidate_caches``.  The heap is pre-mapped at process
 creation, so ``malloc`` does *not* bump the epoch — invalidation stays
-rare and the caches stay hot on the common path.
+rare and the cache stays hot on the common path.
+
+Two checks compare against snapshots the deleted closure tier recorded
+(``tests/vm_goldens.json``).
 """
 
 from repro.chaos import _build_forker
@@ -26,6 +28,7 @@ from repro.sim.cpu import ExecOptions, Interpreter, default_syscall_dispatcher
 from repro.sim.loader import Image
 from repro.sim.memory import PROT_READ, PROT_WRITE
 from repro.sim.process import Process
+from tests.test_vm_equivalence import GOLDENS, as_json
 
 SYS_MPROTECT_TEST = 777
 
@@ -62,10 +65,10 @@ def _mprotecting_dispatcher():
     return dispatcher
 
 
-def _run_tier(tier):
-    process = Process(name=f"inval-{tier}")
+def _run_mprotecting():
+    process = Process(name="inval-vm")
     image = Image(_helper_module(), process)
-    interp = Interpreter(image, options=ExecOptions(interp_tier=tier),
+    interp = Interpreter(image, options=ExecOptions(),
                          syscall_dispatcher=_mprotecting_dispatcher())
     result = interp.run("main")
     return result, interp, process
@@ -73,7 +76,7 @@ def _run_tier(tier):
 
 class TestMprotectMidRun:
     def test_epoch_bump_flushes_and_recompiles(self):
-        result, interp, process = _run_tier("vm")
+        result, interp, process = _run_mprotecting()
         assert result == (5 * 3 + 1) + (9 * 3 + 1)
         # main, helper, then helper again after the mid-run epoch bump
         # invalidated the compile cache.
@@ -84,10 +87,10 @@ class TestMprotectMidRun:
              [interp.image.module.functions["helper"]]}
 
     def test_closure_tier_matches(self):
-        vm_result, vm_interp, _ = _run_tier("vm")
-        closure_result, closure_interp, _ = _run_tier("closure")
-        assert vm_result == closure_result
-        assert vm_interp.steps == closure_interp.steps
+        """Result and steps match the closure tier's recorded run."""
+        result, interp, _ = _run_mprotecting()
+        assert {"result": result, "steps": interp.steps} == \
+            GOLDENS["invalidation"]["mprotect_mid_run"]
 
     def test_no_epoch_change_keeps_cache_hot(self):
         """Re-running without an mprotect must not recompile: the heap
@@ -95,7 +98,7 @@ class TestMprotectMidRun:
         process = Process(name="inval-hot")
         module = _helper_module()
         image = Image(module, process)
-        interp = Interpreter(image, options=ExecOptions(interp_tier="vm"))
+        interp = Interpreter(image, options=ExecOptions())
         interp.run("helper", [5])
         compiled_once = interp.compiled_functions
         interp.run("helper", [6])
@@ -108,7 +111,7 @@ class TestForkChildDivergence:
         at a different process must rebuild every cache."""
         process = Process(name="parent")
         image = Image(_helper_module(), process)
-        interp = Interpreter(image, options=ExecOptions(interp_tier="vm"))
+        interp = Interpreter(image, options=ExecOptions())
         parent_result = interp.run("helper", [5])
         compiled_before = interp.compiled_functions
 
@@ -123,14 +126,12 @@ class TestForkChildDivergence:
     def test_fork_mid_block_identical_across_tiers(self):
         """SYS_FORK lands mid-block between fused groups; the fork, the
         child registration, and the post-fork icalls must be
-        step-identical across tiers."""
-        def go(tier):
-            result = run_program(
-                _build_forker(), design="hq-sfestk", channel="model",
-                exec_option_overrides={"interp_tier": tier})
-            return (result.outcome, result.exit_status, result.steps,
+        step-identical to the closure tier's recorded run."""
+        result = run_program(_build_forker(), design="hq-sfestk",
+                             channel="model")
+        snapshot = (result.outcome, result.exit_status, result.steps,
                     result.cycles, tuple(result.output),
                     result.messages_sent,
                     tuple((v.kind, v.detail) for v in result.violations))
-
-        assert go("vm") == go("closure")
+        assert as_json(snapshot) == \
+            GOLDENS["invalidation"]["fork_mid_block"]

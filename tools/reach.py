@@ -72,8 +72,6 @@ EXEMPT: Dict[str, str] = {
     ), "abstract or interface default"),
     **dict.fromkeys((
         "src/repro/compiler/ir.py:Setjmp.operands",
-        "src/repro/compiler/ir.py:Longjmp.operands",
-        "src/repro/compiler/ir.py:Longjmp.successors",
     ), "IR interface every instruction implements"),
 }
 #: Methods kept for people, not for programs.
