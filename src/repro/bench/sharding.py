@@ -8,7 +8,8 @@ the producer packs the hot-path HQ-CFI word stream for a population of
 pids, routes each pid's stream to its shard's lock-free shared-memory
 SPSC ring via the consistent-hash :class:`~repro.core.sharding.
 ShardMap`, and the workers drain their rings through the standard
-batched ``Verifier._dispatch_words`` path.
+batched :meth:`Verifier.dispatch_words <repro.core.verifier.Verifier.
+dispatch_words>` path.
 
 **Throughput model.**  The primary metric assumes one dedicated core
 per shard — the deployment the scale-out targets — and is computed

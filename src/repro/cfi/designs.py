@@ -20,7 +20,7 @@ name               design
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional
 
 from repro.cfi.ccfi import CCFIPass, CCFIRuntime
@@ -55,16 +55,16 @@ class DesignConfig:
     #                     stack, 3=full pointer integrity
 
     def exec_options(self, **overrides) -> ExecOptions:
-        options = ExecOptions(
+        """This design's execution knobs, with ``overrides`` applied; an
+        override that names no :class:`ExecOptions` field raises
+        ``TypeError``."""
+        return replace(ExecOptions(
             safe_stack=self.safe_stack,
             safe_stack_guard=self.safe_stack_guard,
             safe_stack_adjacent=self.safe_stack_adjacent,
             fp_precision_loss=self.fp_precision_loss,
             register_pressure_factor=self.register_pressure_factor,
-        )
-        for key, value in overrides.items():
-            setattr(options, key, value)
-        return options
+        ), **overrides)
 
 
 def _hq_passes(retptr: bool) -> Callable[[], List[ModulePass]]:

@@ -132,7 +132,6 @@ def run_program(module: ir.Module,
                 seed: int = 1,
                 inlined_runtime: bool = True,
                 channel_kwargs: Optional[dict] = None,
-                exec_option_overrides: Optional[dict] = None,
                 pre_run: Optional[Callable[[Image, Interpreter], None]] = None,
                 passes_override: Optional[list] = None,
                 naive_synchronization: bool = False,
@@ -215,9 +214,8 @@ def run_program(module: ir.Module,
             config, module, design, channel, entry, entry_args,
             policy_factory, kill_on_violation, sync_exempt_syscalls,
             max_steps, aslr, seed, inlined_runtime, channel_kwargs,
-            exec_option_overrides, pre_run, naive_synchronization,
-            fault_injector, observer, shards, race_check,
-            process, kernel, pass_stats, ring_probes)
+            pre_run, naive_synchronization, fault_injector, observer,
+            shards, race_check, process, kernel, pass_stats, ring_probes)
     finally:
         # Release OS resources even when an exception unwinds mid-run
         # (SPSC rings hold real /dev/shm segments; an aborted sharded
@@ -237,8 +235,7 @@ def run_program(module: ir.Module,
 def _wire_and_execute(config, module, design, channel, entry, entry_args,
                       policy_factory, kill_on_violation,
                       sync_exempt_syscalls, max_steps, aslr, seed,
-                      inlined_runtime, channel_kwargs,
-                      exec_option_overrides, pre_run,
+                      inlined_runtime, channel_kwargs, pre_run,
                       naive_synchronization, fault_injector, observer,
                       shards, race_check, process, kernel, pass_stats,
                       ring_probes) -> RunResult:
@@ -302,8 +299,7 @@ def _wire_and_execute(config, module, design, channel, entry, entry_args,
         kernel.attach(process)
 
     runtime = config.runtime(hq_channel)
-    options = config.exec_options(max_steps=max_steps, aslr=aslr, seed=seed,
-                                  **(exec_option_overrides or {}))
+    options = config.exec_options(max_steps=max_steps, aslr=aslr, seed=seed)
     if isinstance(runtime, HQRuntime):
         runtime.inlined = inlined_runtime
         if verifier is not None:

@@ -1,21 +1,30 @@
-"""Sharded verifier runtime: N verifiers behind one liaison surface.
+"""Sharded verifier runtime: N verifiers behind a router.
 
-PR 4 flattened the message path into packed 64-bit words so a single
-verifier could batch-dispatch them; this module scales that design out.
+The flat message path packs every message into four 64-bit words so a
+verifier can batch-dispatch them; this module scales that design out.
 Monitored pids are partitioned across N *shards* by the consistent-hash
 :class:`~repro.core.sharding.ShardMap`; each shard owns a lock-free
 :class:`~repro.ipc.spsc_ring.SpscRing` and an ordinary
 :class:`~repro.core.verifier.Verifier` that drains it through the
-existing batched ``_dispatch_words`` path.  Policy contexts are
-per-pid, so per-pid FIFO (guaranteed by sticky routing) is the only
-ordering verification needs — shards never talk to each other.
+verifier's batched :meth:`~repro.core.verifier.Verifier.dispatch_words`.
+Policy contexts are per-pid, so per-pid FIFO (guaranteed by sticky
+routing) is the only ordering verification needs — shards never talk
+to each other.
+
+The coordinator holds no copy of the verifier's fail-closed rules.  It
+routes, and it calls each shard verifier's public operations:
+``register_process`` (a fork's clone included), ``condemn_live``,
+``dispatch_words``, ``terminate`` and ``restart``.  Routing applies
+the same :func:`~repro.core.verifier.check_stream` rule that dispatch
+does.
 
 Two execution modes share the ring format and the dispatch path:
 
-* :class:`ShardedVerifier` — the *inline coordinator*, a drop-in for
-  :class:`Verifier` behind the kernel module's duck-typed liaison
-  interface (``poll`` / ``has_violation`` / ``consume_syscall_token`` /
-  ``terminated`` / ``restart``).  It routes each received word batch to
+* :class:`ShardedVerifier` — the *inline coordinator*.  It offers the
+  kernel module the verifier's interface (``poll`` / ``has_violation``
+  / ``consume_syscall_token`` / ``terminated`` / ``restart`` ...), so
+  the kernel module, ``run_program``, the fault injector and the
+  traffic engine take either.  It routes each received word batch to
   the owning shard's ring and drains every live shard inside ``poll``,
   keeping runs deterministic (chaos replay, equivalence property
   tests) while exercising the real rings.
@@ -38,16 +47,14 @@ from __future__ import annotations
 
 import time
 from array import array
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Set
 
-from repro.core.messages import MESSAGE_WORDS, OP_NAMES
+from repro.core.messages import MESSAGE_WORDS
 from repro.core.policy import Policy, PolicyStats, Violation
 from repro.core.sharding import ShardMap
-from repro.core.verifier import Verifier
+from repro.core.verifier import Verifier, check_stream
 from repro.ipc.base import Channel, ChannelIntegrityError
 from repro.ipc.spsc_ring import SpscRing
-
-_MASK32 = 0xFFFF_FFFF
 
 #: Default per-shard ring size (words; 32k words = 8k messages).
 DEFAULT_RING_WORDS = 1 << 15
@@ -83,9 +90,10 @@ class ShardEngine:
     counterpart of :class:`Verifier`'s queue of received word batches:
     ``overflow`` buffers words that arrive while the ring is full and
     is refilled into the ring *after* the ring's own content, so
-    per-pid order is preserved.  :meth:`drain` dispatches through the
-    verifier's word path with the same message budget a bounded
-    :meth:`Verifier.poll` takes.
+    per-pid order is preserved.  ``backlog_words`` counts the words in
+    both, kept current wherever words join or leave.  :meth:`drain`
+    dispatches through the verifier's word path with the same message
+    budget a bounded :meth:`Verifier.poll` takes.
     """
 
     def __init__(self, shard_id: int, verifier: Verifier,
@@ -95,12 +103,13 @@ class ShardEngine:
         self.ring = ring
         self.alive = True
         self.overflow = array("Q")
-        self.drained_total = 0
+        self.backlog_words = 0
 
     def enqueue(self, words: array) -> None:
         """Accept a whole-message word batch routed to this shard."""
         if not self.alive:
             return  # a dead shard consumes nothing; its pids die anyway
+        self.backlog_words += len(words)
         if self.overflow:
             self.overflow += words
             return
@@ -122,7 +131,8 @@ class ShardEngine:
                 break
             words = ring.consume_words(budget)
             if words:
-                processed += verifier._dispatch_words(words)
+                self.backlog_words -= len(words)
+                processed += verifier.dispatch_words(words)
                 ring.ack(ring.consumed())
             if self.overflow:
                 published = ring.publish_words(self.overflow)
@@ -131,23 +141,39 @@ class ShardEngine:
                     continue
             if not words:
                 break
-        self.drained_total += processed
         return processed
 
-    def backlog_messages(self) -> int:
-        return (self.ring.occupancy_words() + len(self.overflow)) \
-            // MESSAGE_WORDS
+    def discard(self) -> Set[int]:
+        """Empty the backlog undispatched; returns the senders of every
+        discarded message.
+
+        The ring is consumed until it is empty: one consume stops at the
+        consumer's cached tail and would leave words published after it.
+        """
+        ring = self.ring
+        senders: Set[int] = set()
+        while True:
+            words = ring.consume_words()
+            if not words:
+                break
+            senders.update(w0 >> 32 for w0 in words[::MESSAGE_WORDS])
+        ring.ack(ring.consumed())
+        senders.update(w0 >> 32 for w0 in self.overflow[::MESSAGE_WORDS])
+        del self.overflow[:]
+        self.backlog_words = 0
+        return senders
 
 
 class ShardedVerifier:
     """Inline coordinator: the kernel-facing front of N verifier shards.
 
-    Implements the full duck-typed liaison surface of
-    :class:`Verifier` — ``run_program``, the kernel module, the fault
-    injector, and the chaos runner all operate on it unchanged.
-    Merged read-only views (``contexts`` / ``stats`` / ``violations`` /
-    ``_syscall_tokens``) are computed on demand; pids are disjoint
-    across shards by construction, so merging is collision-free.
+    Offers the kernel module the interface of :class:`Verifier` —
+    ``run_program``, the kernel module, the fault injector, the chaos
+    runner and the traffic engine all operate on it unchanged — and
+    answers each call by routing it to the shard verifier that owns
+    the pid.  Merged read-only views (``contexts`` / ``stats`` /
+    ``violations``) are computed on demand; pids are disjoint across
+    shards by construction, so merging is collision-free.
     """
 
     def __init__(self, policy_factory: Callable[[], Policy],
@@ -156,7 +182,6 @@ class ShardedVerifier:
                  vnodes: int = 64) -> None:
         if num_shards < 1:
             raise ValueError("need at least one verifier shard")
-        self._policy_factory = policy_factory
         self.shard_map = ShardMap(num_shards, vnodes)
         self.shards: List[ShardEngine] = [
             ShardEngine(i, Verifier(policy_factory),
@@ -231,15 +256,10 @@ class ShardedVerifier:
         """
         child = self._engine_for(child_pid).verifier
         parent_engine = self._pid_engine.get(parent_pid)
-        parent_ctx = (parent_engine.verifier.contexts.get(parent_pid)
-                      if parent_engine is not None else None)
-        child.contexts[child_pid] = (parent_ctx.clone()
-                                     if parent_ctx is not None
-                                     else child._policy_factory())
-        child.stats[child_pid] = PolicyStats()
-        child.violations[child_pid] = []
-        child._pending_violation[child_pid] = False
-        child._syscall_tokens[child_pid] = 0
+        parent = (parent_engine.verifier.contexts.get(parent_pid)
+                  if parent_engine is not None else None)
+        child.register_process(child_pid,
+                               parent.clone() if parent is not None else None)
 
     def unregister_process(self, pid: int) -> None:
         engine = self._pid_engine.get(pid)
@@ -346,39 +366,28 @@ class ShardedVerifier:
     def _route(self, words: array) -> None:
         """Split one word batch into per-pid runs and enqueue each.
 
-        Fail-closed exactly like ``Verifier._dispatch_words``: a
-        truncated batch dispatches nothing; an unknown opcode lets the
-        pre-fault prefix through, then abandons the rest and (via the
-        pending-integrity queue) condemns every live pid.
+        The batch passes :func:`check_stream`, the rule dispatch
+        applies: a truncated batch routes nothing; an unknown opcode
+        lets the pre-fault prefix through, then abandons the rest and
+        (via the pending-integrity queue) condemns every live pid.
         """
-        n = len(words)
-        if n & (MESSAGE_WORDS - 1):
-            self._pending_integrity.append(
-                f"undecodable message stream: truncated message stream: "
-                f"{n} words is not a multiple of 4")
-            return
-        op_names = OP_NAMES
+        stop, fault = check_stream(words)
         current_pid = -1
         engine: Optional[ShardEngine] = None
         run_start = 0
-        for base in range(0, n, MESSAGE_WORDS):
-            w0 = words[base]
-            if (w0 & _MASK32) not in op_names:
-                if engine is not None and base > run_start:
-                    engine.enqueue(words[run_start:base])
-                self._pending_integrity.append(
-                    f"undecodable message stream: "
-                    f"unknown opcode {w0 & _MASK32:#x}")
-                return
+        for base, w0 in zip(range(0, stop, MESSAGE_WORDS),
+                            words[0:stop:MESSAGE_WORDS]):
             pid = w0 >> 32
             if pid != current_pid:
-                if engine is not None and base > run_start:
+                if engine is not None:
                     engine.enqueue(words[run_start:base])
                 run_start = base
                 current_pid = pid
                 engine = self._engine_for(pid)
-        if engine is not None and n > run_start:
-            engine.enqueue(words[run_start:n])
+        if engine is not None:
+            engine.enqueue(words[run_start:stop])
+        if fault is not None:
+            self._pending_integrity.append(fault)
 
     def _integrity_violation(self, detail: str) -> None:
         """Transport integrity failure: violation for every live pid,
@@ -388,10 +397,7 @@ class ShardedVerifier:
             self._observer.integrity_failure(detail)
         self.integrity_failures.append(detail)
         for engine in self.shards:
-            verifier = engine.verifier
-            for pid in list(verifier.contexts):
-                verifier._record_violation(
-                    Violation(pid, "message-integrity", detail))
+            engine.verifier.condemn_live("message-integrity", detail)
 
     # -- scoped shard failure ------------------------------------------------
 
@@ -478,13 +484,6 @@ class ShardedVerifier:
             merged.update(engine.verifier.violations)
         return merged
 
-    @property
-    def _syscall_tokens(self) -> Dict[int, int]:
-        merged: Dict[int, int] = {}
-        for engine in self.shards:
-            merged.update(engine.verifier._syscall_tokens)
-        return merged
-
     # -- reporting -------------------------------------------------------------
 
     def all_violations(self, pid: int) -> List[Violation]:
@@ -501,70 +500,52 @@ class ShardedVerifier:
                    for engine in self.shards)
 
     def backlog_size(self) -> int:
-        return sum(engine.backlog_messages() for engine in self.shards)
+        """Messages routed to shards but not yet dispatched."""
+        return sum(engine.backlog_words
+                   for engine in self.shards) // MESSAGE_WORDS
 
     def terminate(self) -> None:
         """Whole-coordinator termination (all shards at once)."""
         self.terminated = True
         for engine in self.shards:
-            verifier = engine.verifier
-            for pid in verifier._pending_violation:
-                verifier._pending_violation[pid] = True
+            engine.verifier.terminate()
 
     # -- crash recovery --------------------------------------------------------
 
     def restart(self, live_pids: Iterable[int],
                 lost_pids: Iterable[int] = ()) -> List[int]:
-        """Replacement-coordinator bring-up, mirroring
-        :meth:`Verifier.restart`: in-flight words (channel, rings,
-        overflow) are unrecoverable and condemn their senders; live
-        pids re-register with fresh policy contexts; stats and
-        violation history survive.
+        """Replacement-coordinator bring-up: each shard verifier runs
+        :meth:`Verifier.restart` with the live pids it owns.
 
-        Like :meth:`Verifier.restart`, only pids still tracked by the
-        kernel (``live_pids``) can be condemned: a pid that exited
-        between crash and restart has in-flight words discarded with
-        the rest, but no violation is recorded for it and — crucially
-        here — no routing entry or bookkeeping row is resurrected for
-        it, so epoch GC is not re-armed for a dead session."""
-        live = set(live_pids)
+        In-flight words — on the channels, in every shard ring and
+        overflow — are unrecoverable, so their senders are lost pids
+        on every shard.  Each shard's restart re-registers its live
+        pids with fresh policy contexts, keeps stats and violation
+        history, and condemns the lost pids that are still live.  A
+        pid that exited between crash and restart (not in
+        ``live_pids``) is neither condemned nor given a routing entry
+        or bookkeeping row, so epoch GC is not re-armed for a dead
+        session.  Returns the sorted list of condemned pids."""
         lost = set(lost_pids)
         for channel in self.channels:
             for message in channel.resync():
                 lost.add(message.pid)
         for engine in self.shards:
-            words = engine.ring.consume_words()
-            for base in range(0, len(words), MESSAGE_WORDS):
-                lost.add(words[base] >> 32)
-            for base in range(0, len(engine.overflow), MESSAGE_WORDS):
-                lost.add(engine.overflow[base] >> 32)
-            del engine.overflow[:]
-            engine.ring.ack(engine.ring.consumed())
+            lost.update(engine.discard())
             engine.alive = True
-            verifier = engine.verifier
-            verifier.terminated = False
-            verifier.contexts.clear()
-            verifier._pending_violation = {}
-            verifier._syscall_tokens = {}
         self._pending_integrity = []
         self.terminated = False
         self.restarts += 1
         self._pid_engine = {}
-        for pid in sorted(live):
-            engine = self._engine_for(pid)
-            verifier = engine.verifier
-            verifier.contexts[pid] = verifier._policy_factory()
-            verifier.stats.setdefault(pid, PolicyStats())
-            verifier.violations.setdefault(pid, [])
-            verifier._pending_violation[pid] = False
-            verifier._syscall_tokens[pid] = 0
-        killed = sorted(lost & live)
-        for pid in killed:
-            self._engine_for(pid).verifier._record_violation(Violation(
-                pid, "verifier-restart",
-                "in-flight messages lost across verifier restart "
-                "(fail closed)"))
-        return killed
+        owned: Dict[int, List[int]] = {engine.shard_id: []
+                                       for engine in self.shards}
+        for pid in sorted(set(live_pids)):
+            owned[self.shard_of(pid)].append(pid)
+        killed: List[int] = []
+        for engine in self.shards:
+            killed.extend(engine.verifier.restart(owned[engine.shard_id],
+                                                  lost))
+        return sorted(killed)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -596,7 +577,7 @@ def shard_worker_main(ring_name: str, capacity_words: int,
                       race: bool = False) -> None:
     """Worker-process entry: free-running consume→dispatch loop.
 
-    Drains the ring through the standard ``Verifier._dispatch_words``
+    Drains the ring through the standard :meth:`Verifier.dispatch_words`
     path until the producer raises the stop flag and the ring is empty,
     then reports results over ``conn``.  ``busy_s`` accumulates
     ``time.process_time()`` only around non-empty consume+dispatch
@@ -635,7 +616,7 @@ def shard_worker_main(ring_name: str, capacity_words: int,
         words = ring.consume_words()
         if not words:
             return False
-        verifier._dispatch_words(words)
+        verifier.dispatch_words(words)
         ring.ack(ring.consumed())
         busy_s += time.process_time() - t0
         drained += len(words) // MESSAGE_WORDS
@@ -678,13 +659,6 @@ def shard_worker_main(ring_name: str, capacity_words: int,
             "violations": {pid: [(v.kind, v.detail) for v in violations]
                            for pid, violations in
                            verifier.violations.items() if violations},
-            "stats": {pid: (s.messages_processed, s.violations,
-                            s.max_entries, dict(s.by_op))
-                      for pid, s in verifier.stats.items()},
-            "tokens": dict(verifier._syscall_tokens),
-            "entries": {pid: context.entry_count()
-                        for pid, context in verifier.contexts.items()},
-            "integrity": list(verifier.integrity_failures),
         })
     finally:
         ring.close()

@@ -15,9 +15,10 @@ by the framework to model background draining.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, List, Optional
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.messages import (MESSAGE_WORDS, Message, Op, OP_BY_VALUE,
                                  OP_NAMES)
@@ -26,6 +27,48 @@ from repro.ipc.base import Channel, ChannelIntegrityError
 
 _OP_SYSCALL = int(Op.SYSCALL)
 _MASK32 = 0xFFFF_FFFF
+#: Opcodes the wire codec knows.
+_KNOWN_OPS = frozenset(OP_NAMES)
+#: Where a word's low (opcode) half sits in a 32-bit view of a batch.
+_OPCODE_HALF = 0 if sys.byteorder == "little" else 1
+
+
+def check_stream(words: array, start: int = 0,
+                 stop: Optional[int] = None) -> Tuple[int, Optional[str]]:
+    """The stream-integrity rule: how much of ``words[start:stop]``, a
+    message-aligned window of a received word batch, may be dispatched.
+
+    Returns ``(end, detail)``: ``words[start:end]`` is whole messages
+    with known opcodes, and ``detail`` is None when that is the whole
+    window.  Otherwise ``detail`` is the message-integrity evidence
+    that stops the window at ``end``:
+
+    * a batch whose length is not a whole number of messages — a
+      partial trailing message must be neither skipped nor decoded,
+      so nothing of the batch passes (``end == start``);
+    * the first message whose opcode the wire codec does not know —
+      the messages before it pass, none after it.
+
+    Verifier dispatch and the sharded coordinator's routing both apply
+    this one rule.  The opcode scan reads a strided 32-bit view of the
+    batch, so a clean window costs one C-level set probe per message.
+    """
+    n = len(words)
+    if n % MESSAGE_WORDS:
+        return start, (f"undecodable message stream: truncated message "
+                       f"stream: {n} words is not a multiple of "
+                       f"{MESSAGE_WORDS}")
+    if stop is None:
+        stop = n
+    ops = memoryview(words).cast("B").cast("I")[
+        2 * start + _OPCODE_HALF:2 * stop:2 * MESSAGE_WORDS]
+    if not _KNOWN_OPS.issuperset(ops):
+        for index, op in enumerate(ops):
+            if op not in _KNOWN_OPS:
+                return (start + index * MESSAGE_WORDS,
+                        f"undecodable message stream: unknown opcode "
+                        f"{op:#x}")
+    return stop, None
 
 
 class Verifier:
@@ -36,6 +79,12 @@ class Verifier:
     violation or unexpected verifier termination (section 3.4); the
     kill is carried out by the kernel module, which polls
     :meth:`has_violation`.
+
+    The sharded coordinator (:mod:`repro.core.shard_verifier`) runs
+    one instance per shard and drives it only through public
+    operations — ``register_process``, ``condemn_live``,
+    ``dispatch_words``, ``terminate`` and ``restart`` — so each
+    fail-closed rule has one home, here.
     """
 
     #: Observability hook (:class:`repro.obs.Observer`); wired per run
@@ -95,9 +144,13 @@ class Verifier:
 
     # -- process lifecycle (privileged kernel channel) -----------------------------
 
-    def register_process(self, pid: int) -> None:
-        """Kernel notification: a process enabled HerQules (Figure 1, 1b)."""
-        self.contexts[pid] = self._policy_factory()
+    def register_process(self, pid: int,
+                         context: Optional[Policy] = None) -> None:
+        """Kernel notification: a process enabled HerQules (Figure 1,
+        1b).  ``context`` is the policy context it starts with (a
+        fork's clone of its parent's); None gives a fresh one."""
+        self.contexts[pid] = (context if context is not None
+                              else self._policy_factory())
         self.stats[pid] = PolicyStats()
         self.violations[pid] = []
         self._pending_violation[pid] = False
@@ -110,14 +163,8 @@ class Verifier:
     def fork_process(self, parent_pid: int, child_pid: int) -> None:
         """Kernel notification: copy the parent's policy context."""
         parent = self.contexts.get(parent_pid)
-        self.contexts[child_pid] = (parent.clone() if parent is not None
-                                    else self._policy_factory())
-        self.stats[child_pid] = PolicyStats()
-        self.violations[child_pid] = []
-        self._pending_violation[child_pid] = False
-        self._syscall_tokens[child_pid] = 0
-        if self._exited_at:
-            self._exited_at.pop(child_pid, None)
+        self.register_process(child_pid,
+                              parent.clone() if parent is not None else None)
 
     def unregister_process(self, pid: int) -> None:
         """Kernel notification: the process terminated.
@@ -244,7 +291,7 @@ class Verifier:
             start = self._offset
             stop = len(words) if budget is None else \
                 min(len(words), start + (budget - processed) * MESSAGE_WORDS)
-            done = self._dispatch_words(words, start, stop)
+            done = self.dispatch_words(words, start, stop)
             processed += done
             start += done * MESSAGE_WORDS
             if start < stop or start == len(words):
@@ -264,12 +311,16 @@ class Verifier:
         if self.observer is not None:
             self.observer.integrity_failure(detail)
         self.integrity_failures.append(detail)
-        for pid in self.contexts:
-            self._record_violation(Violation(pid, "message-integrity",
-                                             detail))
+        self.condemn_live("message-integrity", detail)
 
-    def _dispatch_words(self, words: array, start: int = 0,
-                        stop: Optional[int] = None) -> int:
+    def condemn_live(self, kind: str, detail: str) -> None:
+        """Record a ``kind`` violation for every live pid (fail closed):
+        evidence that indicts the whole stream, not one sender."""
+        for pid in self.contexts:
+            self._record_violation(Violation(pid, kind, detail))
+
+    def dispatch_words(self, words: array, start: int = 0,
+                       stop: Optional[int] = None) -> int:
         """Dispatch the messages in ``words[start:stop]``, one
         message-aligned window of a packed word batch; returns how many
         were dispatched.
@@ -277,37 +328,30 @@ class Verifier:
         Consecutive same-pid runs share the per-pid lookups (context,
         handler table, stats) — channel streams are single-writer, so
         one resolution usually covers the whole window.  Per message
-        the hot path is: opcode probe, a call of the policy class's
+        the hot path is: opcode name, a call of the policy class's
         handler with the raw payload, inline stats update.  ``Message``
         objects exist only when a violation needs its evidence attached.
 
-        A batch whose length is not a whole number of messages, or a
-        message whose opcode the wire codec does not know, is
-        message-integrity evidence: every live pid is marked violated
-        (fail closed), exactly as if the transport had reported the
-        corruption itself, and the batch is abandoned — the messages
-        before the bad opcode are dispatched, none after it.  The
-        caller can tell: the dispatched messages then end short of
-        ``stop``.
+        A window that fails :func:`check_stream` — a batch that is not
+        whole messages, or a message whose opcode the wire codec does
+        not know — is message-integrity evidence: every live pid is
+        marked violated (fail closed), exactly as if the transport had
+        reported the corruption itself, and the batch is abandoned —
+        the messages before the bad opcode are dispatched, none after
+        it.  The caller can tell: the dispatched messages then end
+        short of ``stop``.
 
         The per-message stats (processed count, entry high-water mark)
         accumulate in run-local variables and flush into
         :class:`PolicyStats` at run boundaries and on return — final
         stats are identical to per-message updates.
         """
-        n = len(words)
-        if n & 3:
-            # A partial trailing message must not be silently skipped
-            # (nor crash the verifier): it is transport corruption.
-            self._integrity_violation(
-                f"undecodable message stream: truncated message stream: "
-                f"{n} words is not a multiple of 4")
-            return 0
+        stop, fault = check_stream(words, start, stop)
         op_names = OP_NAMES
         op_by_value = OP_BY_VALUE
         contexts = self.contexts
         stats = self.stats
-        obs = self.observer
+        tokens = self._syscall_tokens
         runs = 0          # distinct same-pid runs in this window
         current_pid = -1
         context: Optional[Policy] = None
@@ -317,7 +361,6 @@ class Verifier:
         sized = None
         run_mp = 0        # messages processed since the last flush
         run_max = -1      # entry-count high-water mark since the flush
-        processed = 0     # only maintained for the abort path
         # One C-level iterator per word column: no index arithmetic or
         # bounds checks in the loop body.
         for w0, arg0, arg1, w3 in zip(words[start:stop:4],
@@ -341,21 +384,12 @@ class Verifier:
                 sized = (context.entries_ref()
                          if context is not None else None)
             op = w0 & _MASK32
-            name = op_names.get(op)
-            if name is None:
-                if run_mp:
-                    st.messages_processed += run_mp
-                    if run_max > st.max_entries:
-                        st.max_entries = run_max
-                self._integrity_violation(
-                    f"undecodable message stream: unknown opcode {op:#x}")
-                return processed
+            name = op_names[op]
             if op == _OP_SYSCALL:
                 # All outstanding messages from this pid have been
                 # processed (channel ordering): hand the kernel a
                 # resume token.
-                self._syscall_tokens[pid] = \
-                    self._syscall_tokens.get(pid, 0) + 1
+                tokens[pid] = tokens.get(pid, 0) + 1
                 if st is not None:
                     run_mp += 1
                     try:
@@ -369,12 +403,10 @@ class Verifier:
                                    if context is not None else 0)
                     if entries > run_max:
                         run_max = entries
-                processed += 1
                 continue
             if context is None:
                 # Message from an unregistered pid: ignore (cannot
                 # happen with kernel-arbitrated channels).
-                processed += 1
                 continue
             aux = w3 & _MASK32
             malformed = False
@@ -410,14 +442,16 @@ class Verifier:
                     violation.message = Message(op_by_value[op], arg0,
                                                 arg1, aux, pid, w3 >> 32)
                 self._record_violation(violation)
-            processed += 1
         if run_mp:
             st.messages_processed += run_mp
             if run_max > st.max_entries:
                 st.max_entries = run_max
-        if obs is not None and runs:
-            obs.verifier_dispatch_runs.value += runs
-        return processed
+        if fault is not None:
+            # An abandoned batch's runs are not counted as dispatch runs.
+            self._integrity_violation(fault)
+        elif runs and self.observer is not None:
+            self.observer.verifier_dispatch_runs.value += runs
+        return (stop - start) // MESSAGE_WORDS
 
     def _record_violation(self, violation: Violation) -> None:
         if self.observer is not None:

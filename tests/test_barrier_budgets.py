@@ -5,17 +5,19 @@ The traffic engine hands ``HQKernelModule`` the real verifier; the
 module bounds every barrier poll by ``poll_budget`` (a budget of 0
 means no poll at all) and spends ``restart_budget`` on verifier
 crashes.  ``Verifier.backlog_size`` reads a word count kept current
-wherever a batch joins or leaves the backlog; the property below
-compares it with a recount over the queued batches, kept in this file
-as the reference the count replaced.
+wherever a batch joins or leaves the backlog, and so does the sharded
+coordinator's, from one such count per shard engine; the property
+below compares each with a recount over the queued words, kept in this
+file as the reference the counts replaced.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cfi.hq_cfi import HQCFIPolicy
 from repro.core import messages as msg
 from repro.core.messages import MESSAGE_WORDS
+from repro.core.shard_verifier import ShardedVerifier
 from repro.core.verifier import Verifier
 from repro.faults import FaultKind, FaultPlan, FaultyVerifier
 from repro.ipc.appendwrite import AppendWriteUArch
@@ -32,47 +34,86 @@ UNKNOWN_OPCODE = 0x7FFF_FFFF
 
 def recount(verifier):
     """The brute-force reference: undispatched messages in the queued
-    batches, past the read offset into the first."""
+    batches, past the read offset into the first — or, on the sharded
+    coordinator, in every shard's ring and overflow."""
+    if isinstance(verifier, ShardedVerifier):
+        return sum(engine.ring.occupancy_words() + len(engine.overflow)
+                   for engine in verifier.shards) // MESSAGE_WORDS
     return (sum(len(words) for words in verifier._backlog)
             - verifier._offset) // MESSAGE_WORDS
 
 
 _OPS = st.one_of(
-    st.tuples(st.just("send"), st.integers(min_value=1, max_value=6)),
-    st.tuples(st.just("corrupt"), st.integers(min_value=0, max_value=3)),
+    st.tuples(st.just("send"), st.integers(min_value=1, max_value=6),
+              st.integers(min_value=0, max_value=1)),
+    st.tuples(st.just("corrupt"), st.integers(min_value=0, max_value=3),
+              st.integers(min_value=0, max_value=1)),
     st.tuples(st.just("poll"),
-              st.one_of(st.none(), st.integers(min_value=0, max_value=5))),
-    st.tuples(st.just("restart"), st.just(0)),
+              st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
+              st.just(0)),
+    st.tuples(st.just("crash"), st.integers(min_value=0, max_value=1),
+              st.just(0)),
+    st.tuples(st.just("restart"), st.just(0), st.just(0)),
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(ops=st.lists(_OPS, max_size=30))
-def test_backlog_count_matches_a_recount(ops):
-    verifier = Verifier(HQCFIPolicy)
+_STALE_TAIL = [("send", 6, 0), ("poll", 1, 0), ("restart", 0, 0)]
+
+
+@settings(max_examples=450, deadline=None)
+@given(shards=st.sampled_from([None, 1, 2]),
+       ops=st.lists(_OPS, max_size=30))
+# A bounded drain refills the ring from the overflow after the
+# consumer's last tail refresh; restart must discard those words too.
+@example(shards=1, ops=_STALE_TAIL)
+@example(shards=2, ops=_STALE_TAIL)
+def test_backlog_count_matches_a_recount(shards, ops):
+    """``shards`` picks the runtime: the plain verifier (None) or the
+    sharded coordinator with small rings.  Each op's second field is a
+    count, a budget or a shard; the third picks the sending process.
+    A crash kills one shard of the coordinator, or the whole plain
+    verifier; a restart must leave no backlog behind."""
+    verifier = (Verifier(HQCFIPolicy) if shards is None else
+                ShardedVerifier(HQCFIPolicy, shards, ring_capacity_words=16))
     channel = create_channel("model", capacity=1 << 12)
     verifier.attach_channel(channel)
-    process = Process()
-    verifier.register_process(process.pid)
-    for kind, arg in ops:
-        if kind == "send":
-            for i in range(arg):
-                channel.send(process, msg.pointer_define(0x100 + i, i))
-        elif kind == "corrupt":
-            # ``arg`` valid messages ahead of the bad opcode in the same
-            # batch: dispatch stops at it and drops the rest.
-            for i in range(arg):
-                channel.send(process, msg.pointer_check(0x100 + i, i))
-            channel.send_raw(process, UNKNOWN_OPCODE, 0, 0, 0)
-            channel.send(process, msg.pointer_define(0x200, 1))
-        elif kind == "poll":
-            verifier.poll(arg)
-        else:
-            verifier.terminate()
-            verifier.restart([process.pid])
+    processes = [Process(), Process()]
+    for process in processes:
+        verifier.register_process(process.pid)
+    try:
+        for kind, arg, sender in ops:
+            process = processes[sender]
+            if kind == "send":
+                for i in range(arg):
+                    channel.send(process, msg.pointer_define(0x100 + i, i))
+            elif kind == "corrupt":
+                # ``arg`` valid messages ahead of the bad opcode in the
+                # same batch: dispatch stops at it and drops the rest.
+                for i in range(arg):
+                    channel.send(process, msg.pointer_check(0x100 + i, i))
+                channel.send_raw(process, UNKNOWN_OPCODE, 0, 0, 0)
+                channel.send(process, msg.pointer_define(0x200, 1))
+            elif kind == "poll":
+                verifier.poll(arg)
+            elif kind == "crash":
+                if shards is None:
+                    verifier.terminate()
+                else:
+                    verifier.crash_shard(arg)
+            else:
+                verifier.terminate()
+                verifier.restart([process.pid for process in processes])
+                assert verifier.backlog_size() == 0
+            assert verifier.backlog_size() == recount(verifier)
+        verifier.poll()
+        if not verifier.terminated and not any(
+                verifier.shard_down_for(process.pid)
+                for process in processes):
+            assert verifier.backlog_size() == 0
         assert verifier.backlog_size() == recount(verifier)
-    verifier.poll()
-    assert verifier.backlog_size() == recount(verifier) == 0
+    finally:
+        if shards is not None:
+            verifier.close()
 
 
 def _count_polls(verifier):

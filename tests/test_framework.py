@@ -64,6 +64,10 @@ class TestDesignCatalogue:
         options = get_design("baseline").exec_options(max_steps=123)
         assert options.max_steps == 123
 
+    def test_unknown_exec_option_raises(self):
+        with pytest.raises(TypeError):
+            get_design("hq-sfestk").exec_options(max_stepz=1)
+
 
 class TestRunProgram:
     @pytest.mark.parametrize("design", sorted(DESIGNS))

@@ -266,7 +266,7 @@ class TestUndecodableStreams:
 
     def test_truncated_word_batch_dispatch_fails_closed(self, process):
         verifier = self._verifier_over(create_channel("shm"), process.pid)
-        processed = verifier._dispatch_words(array("Q", [1, 2, 3]))
+        processed = verifier.dispatch_words(array("Q", [1, 2, 3]))
         assert processed == 0
         assert any("truncated" in detail
                    for detail in verifier.integrity_failures)

@@ -21,7 +21,7 @@ from repro.bench.sharding import pack_stream
 from repro.cfi.hq_cfi import HQCFIPolicy
 from repro.chaos import OK_VERDICTS, run_case
 from repro.core.framework import run_program
-from repro.core.messages import MESSAGE_WORDS
+from repro.core.messages import MESSAGE_WORDS, Op
 from repro.core.shard_verifier import ShardedVerifier, resolve_policy
 from repro.core.sharding import ShardMap, movement_fraction
 from repro.core.verifier import Verifier
@@ -139,6 +139,14 @@ class TestShardMap:
 POLICY_NAMES = sorted(_policy_factories())
 
 
+def _owner(verifier, pid):
+    """The ``Verifier`` that holds ``pid``'s state: ``verifier`` itself,
+    or the coordinator's shard that owns ``pid``."""
+    if isinstance(verifier, ShardedVerifier):
+        return verifier.shards[verifier.shard_of(pid)].verifier
+    return verifier
+
+
 def _fingerprint(verifier, pid):
     stats = verifier.stats[pid]
     context = verifier.contexts.get(pid)
@@ -146,7 +154,7 @@ def _fingerprint(verifier, pid):
         [(v.kind, v.detail) for v in verifier.violations.get(pid, [])],
         stats.messages_processed, stats.violations, stats.max_entries,
         dict(stats.by_op),
-        verifier._syscall_tokens.get(pid, 0),
+        _owner(verifier, pid)._syscall_tokens.get(pid, 0),
         context.entry_count() if context is not None else None,
         list(verifier.integrity_failures),
     )
@@ -191,7 +199,7 @@ def test_sharded_poll_equivalent_to_single_dispatch(policy_name, data):
     for pid in pids:
         single.register_process(pid)
     for batch in batches:
-        single._dispatch_words(batch)
+        single.dispatch_words(batch)
 
     sharded = ShardedVerifier(factory, 3, ring_capacity_words=64)
     channel = _StubChannel()
@@ -223,7 +231,7 @@ def test_unknown_opcode_fails_closed_identically():
     single = Verifier(HQCFIPolicy)
     for pid in pids:
         single.register_process(pid)
-    single._dispatch_words(batch)
+    single.dispatch_words(batch)
 
     sharded = ShardedVerifier(HQCFIPolicy, 3, ring_capacity_words=64)
     channel = _StubChannel()
@@ -247,7 +255,7 @@ def test_truncated_batch_fails_closed_identically():
 
     single = Verifier(HQCFIPolicy)
     single.register_process(10)
-    single._dispatch_words(batch)
+    single.dispatch_words(batch)
 
     sharded = ShardedVerifier(HQCFIPolicy, 2, ring_capacity_words=64)
     channel = _StubChannel()
@@ -263,6 +271,49 @@ def test_truncated_batch_fails_closed_identically():
         assert sharded.total_messages() == single.total_messages() == 0
     finally:
         sharded.close()
+
+
+def _runtimes(shards=2, ring_capacity_words=64):
+    """The two verifier runtimes a test may run a script on: a plain
+    ``Verifier`` and the sharded coordinator."""
+    return [
+        pytest.param(lambda: Verifier(HQCFIPolicy), id="verifier"),
+        pytest.param(lambda: ShardedVerifier(
+            HQCFIPolicy, shards, ring_capacity_words=ring_capacity_words),
+            id="sharded"),
+    ]
+
+
+def _close(verifier):
+    close = getattr(verifier, "close", None)
+    if close is not None:
+        close()
+
+
+@pytest.mark.parametrize("make", _runtimes())
+def test_pointer_block_move_dispatch(make):
+    """Pointer-Block-Move moves the tracked pointer: a check at the
+    destination passes, a check at the vacated source fails."""
+    verifier = make()
+    channel = _StubChannel()
+    verifier.attach_channel(channel)
+    try:
+        verifier.register_process(40)
+        channel.push(pack_stream(40, [
+            (int(Op.POINTER_DEFINE), 0x100, 7, 0),
+            (int(Op.POINTER_BLOCK_MOVE), 0x100, 0x200, 8),
+            (int(Op.POINTER_CHECK), 0x200, 7, 0),
+            (int(Op.POINTER_CHECK), 0x100, 7, 0),
+        ]))
+        assert verifier.poll() == 4
+        violations = verifier.violations[40]
+        assert [v.kind for v in violations] == ["cfi-pointer-integrity"]
+        assert violations[0].message.op == Op.POINTER_CHECK
+        assert violations[0].message.arg0 == 0x100
+        assert violations[0].message.counter == 4
+        assert verifier.stats[40].by_op["POINTER_BLOCK_MOVE"] == 1
+    finally:
+        _close(verifier)
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +506,46 @@ class TestRestart:
             assert all(engine.alive for engine in sharded.shards)
         finally:
             sharded.close()
+
+    @pytest.mark.parametrize("make", _runtimes(shards=1,
+                                               ring_capacity_words=256))
+    def test_restart_condemns_words_past_a_stale_cached_tail(self, make):
+        """Words published to a ring after the consumer last refreshed
+        its cached tail are in flight too: restart condemns their
+        sender and leaves nothing for the fresh contexts to dispatch."""
+        verifier = make()
+        channel = _StubChannel()
+        verifier.attach_channel(channel)
+        try:
+            for pid in (100, 101):
+                verifier.register_process(pid)
+            channel.push(pack_stream(100, _cfi_stream(4)))
+            verifier.poll(1)
+            channel.push(pack_stream(101, _cfi_stream(3)))
+            verifier.poll(0)
+            assert verifier.restart([100, 101]) == [100, 101]
+            assert verifier.backlog_size() == 0
+            assert verifier.poll() == 0
+        finally:
+            _close(verifier)
+
+    @pytest.mark.parametrize("make", _runtimes())
+    def test_fork_into_a_recycled_pid_cancels_its_reclamation(self, make):
+        """A fork that reuses an exited pid is a live process: epoch GC
+        must not reclaim it on the predecessor's schedule."""
+        verifier = make()
+        try:
+            verifier.gc_epochs = 1
+            verifier.register_process(100)
+            verifier.register_process(200)
+            verifier.unregister_process(100)
+            verifier.fork_process(200, 100)
+            verifier.advance_epoch()
+            verifier.advance_epoch()
+            assert 100 in verifier.contexts
+            assert verifier.reclaimed_pids == 0
+        finally:
+            _close(verifier)
 
 
 # ---------------------------------------------------------------------------

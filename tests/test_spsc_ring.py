@@ -5,7 +5,7 @@ in-process word stream for every policy.
 The ring is the sharded verifier's transport, so its contract is
 stronger than "bytes arrive": whole messages only (no torn 4-word
 frames), FIFO order, and consume-side behaviour identical to handing
-the same words to ``Verifier._dispatch_words`` directly.
+the same words to ``Verifier.dispatch_words`` directly.
 """
 
 import multiprocessing
@@ -462,7 +462,7 @@ def test_ring_transport_equivalent_to_direct_dispatch(policy_name, data):
 
     direct = Verifier(factory)
     direct.register_process(pid)
-    direct._dispatch_words(words)
+    direct.dispatch_words(words)
 
     ringed = Verifier(factory)
     ringed.register_process(pid)
@@ -479,11 +479,11 @@ def test_ring_transport_equivalent_to_direct_dispatch(policy_name, data):
                 start += published
             consumed = ring.consume_words()
             if consumed:
-                ringed._dispatch_words(consumed)
+                ringed.dispatch_words(consumed)
                 ring.ack(ring.consumed())
         leftover = ring.consume_words()
         if leftover:
-            ringed._dispatch_words(leftover)
+            ringed.dispatch_words(leftover)
     finally:
         ring.close()
 

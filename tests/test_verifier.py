@@ -1,14 +1,18 @@
 """Tests for the verifier process model (repro.core.verifier)."""
 
+import ast
 import gc
 import weakref
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.bench.msgpath import _policy_factories
 from repro.bench.sharding import pack_stream
 from repro.cfi.hq_cfi import HQCFIPolicy
 from repro.core import messages as msg
+from repro.core import verifier as verifier_module
 from repro.core.verifier import Verifier
 from repro.ipc.appendwrite import AppendWriteFPGA, AppendWriteUArch
 from repro.sim.process import Process
@@ -57,7 +61,7 @@ class TestLifecycle:
         factory, stream = _policy_factories()[policy_name]
         verifier = Verifier(factory)
         verifier.register_process(7)
-        verifier._dispatch_words(pack_stream(7, stream(40)))
+        verifier.dispatch_words(pack_stream(7, stream(40)))
         context = weakref.ref(verifier.contexts[7])
         gc.disable()
         try:
@@ -169,3 +173,48 @@ class TestIntegrity:
         verifier.terminate()
         assert verifier.has_violation(process.pid)
         assert verifier.poll() == 0
+
+
+# ---------------------------------------------------------------------------
+# One home for verifier state
+# ---------------------------------------------------------------------------
+
+def _private_verifier_names():
+    """Single-underscore names of ``Verifier``'s methods and of the
+    attributes it sets on ``self``."""
+    tree = ast.parse(Path(verifier_module.__file__).read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "Verifier")
+    names = {node.name for node in cls.body
+             if isinstance(node, ast.FunctionDef)}
+    names.update(node.attr for node in ast.walk(cls)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Store)
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id == "self")
+    return {name for name in names
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def test_no_code_outside_the_verifier_touches_its_private_state():
+    """Each fail-closed rule lives once, in ``Verifier``: other modules
+    (the sharded coordinator and its workers included) use only its
+    public operations.  Flags ``<expr>._name`` for any ``expr`` but
+    ``self`` and any ``_name`` that ``Verifier`` defines."""
+    private = _private_verifier_names()
+    assert {"_syscall_tokens", "_pending_violation", "_record_violation",
+            "_policy_factory"} <= private
+    root = Path(repro.__file__).parent
+    own = Path(verifier_module.__file__).resolve()
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        if path.resolve() == own:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in private
+                    and not (isinstance(node.value, ast.Name)
+                             and node.value.id == "self")):
+                found.append(f"{path.relative_to(root)}:{node.lineno}: "
+                             f".{node.attr}")
+    assert found == []
